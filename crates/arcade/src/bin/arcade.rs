@@ -321,7 +321,7 @@ fn run(args: &[String]) -> Result<(), String> {
                         "{{\"name\":{},\"components\":{},\"ctmc_states\":{}}}",
                         json_str(&module.name),
                         module.components.len(),
-                        module.report.ctmc_stats().states,
+                        module.availability().ctmc_stats.states,
                     ));
                 }
                 let mut points = String::new();
@@ -348,7 +348,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     "{}: {} components, CTMC {}",
                     module.name,
                     module.components.len(),
-                    module.report.ctmc_stats()
+                    module.availability().ctmc_stats
                 );
             }
             println!();

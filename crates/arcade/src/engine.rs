@@ -80,8 +80,8 @@ pub struct EngineOptions {
     /// reports are merged back in plan order.
     pub threads: usize,
     /// Configuration of the CTMC numerics the downstream measure layers
-    /// ([`crate::query::Session`], [`crate::analysis::Analysis`],
-    /// [`crate::modular::modular_analysis`]) run on the aggregated chain:
+    /// ([`crate::query::Session`], [`crate::modular::modular_analysis`])
+    /// run on the aggregated chain:
     /// the dense-vs-iterative solver crossover, the iterative
     /// tolerance/sweep-cap, and the sharded uniformization engine
     /// ([`ctmc::SolverOptions::transient`] — worker threads, shard

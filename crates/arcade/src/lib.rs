@@ -53,9 +53,11 @@
 //! # Ok::<(), arcade::ArcadeError>(())
 //! ```
 //!
-//! The eager [`Analysis`] API remains as a thin compatibility wrapper
-//! over the session. The same model can be written in the paper's textual
-//! syntax and parsed with [`parser::parse_system`].
+//! [`Session`] is the only evaluator: [`Session::evaluate`] answers a
+//! batch from the memoized aggregations, and [`Session::evaluate_at`] and
+//! [`Session::sweep`] answer it on chains re-rated to parameter points,
+//! all through one batch planner. The same model can be written in the
+//! paper's textual syntax and parsed with [`parser::parse_system`].
 //!
 //! # Serving
 //!
@@ -120,7 +122,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod analytic;
 pub mod ast;
 pub mod build;
@@ -141,13 +142,11 @@ pub mod serve;
 pub mod sim;
 pub mod sync;
 
-pub use analysis::Analysis;
 pub use error::ArcadeError;
 pub use query::{Measure, ParamGrid, Session, SweepResult};
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use crate::analysis::Analysis;
     pub use crate::ast::{BcDef, OmGroup, RateParam, RepairStrategy, RuDef, SmuDef, SystemDef};
     pub use crate::dist::Dist;
     pub use crate::error::ArcadeError;

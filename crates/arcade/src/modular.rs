@@ -18,12 +18,13 @@
 //!   module is the first system failure).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use crate::analysis::{Analysis, AnalysisReport};
 use crate::ast::SystemDef;
-use crate::engine::EngineOptions;
+use crate::engine::{Aggregation, EngineOptions};
 use crate::error::ArcadeError;
 use crate::expr::Expr;
+use crate::query::{Measure, Session};
 
 /// One independent module and its analysis.
 #[derive(Debug, Clone)]
@@ -32,8 +33,32 @@ pub struct ModuleAnalysis {
     pub name: String,
     /// The components the module contains.
     pub components: Vec<String>,
-    /// The module's own analysis report.
-    pub report: AnalysisReport,
+    /// The module's own session, with both configurations built.
+    pub session: Session,
+}
+
+impl ModuleAnalysis {
+    /// The module's availability aggregation (repairs active).
+    pub fn availability(&self) -> Arc<Aggregation> {
+        self.session
+            .availability_model()
+            .expect("built by modular_analysis")
+    }
+
+    /// One measure of the module.
+    fn value(&self, m: Measure) -> f64 {
+        self.session
+            .value(&m)
+            .expect("both configurations were built by modular_analysis")
+    }
+
+    /// One measure kind over a whole time grid, in one batched sweep.
+    fn curve(&self, ts: &[f64], kind: fn(f64) -> Measure) -> Vec<f64> {
+        let batch: Vec<Measure> = ts.iter().map(|&t| kind(t)).collect();
+        self.session
+            .evaluate(&batch)
+            .expect("both configurations were built by modular_analysis")
+    }
 }
 
 /// The combined modular analysis.
@@ -49,7 +74,7 @@ impl ModularAnalysis {
         1.0 - self
             .modules
             .iter()
-            .map(|m| 1.0 - m.report.steady_state_unavailability())
+            .map(|m| 1.0 - m.value(Measure::SteadyStateUnavailability))
             .product::<f64>()
     }
 
@@ -63,7 +88,7 @@ impl ModularAnalysis {
         1.0 - self
             .modules
             .iter()
-            .map(|m| 1.0 - m.report.point_unavailability(t))
+            .map(|m| 1.0 - m.value(Measure::PointUnavailability(t)))
             .product::<f64>()
     }
 
@@ -73,7 +98,7 @@ impl ModularAnalysis {
         1.0 - self
             .modules
             .iter()
-            .map(|m| 1.0 - m.report.unreliability_with_repair(t))
+            .map(|m| 1.0 - m.value(Measure::UnreliabilityWithRepair(t)))
             .product::<f64>()
     }
 
@@ -81,7 +106,7 @@ impl ModularAnalysis {
     pub fn reliability(&self, t: f64) -> f64 {
         self.modules
             .iter()
-            .map(|m| m.report.reliability(t))
+            .map(|m| m.value(Measure::Reliability(t)))
             .product()
     }
 
@@ -89,13 +114,13 @@ impl ModularAnalysis {
     /// answers its curve in one batched sweep, then the per-point
     /// independent-module combination is applied.
     pub fn point_unavailability_many(&self, ts: &[f64]) -> Vec<f64> {
-        self.combine_complement(ts, |m, ts| m.report.point_unavailability_many(ts))
+        self.combine_complement(ts, |m, ts| m.curve(ts, Measure::PointUnavailability))
     }
 
     /// System first-passage unreliability (repairs active) over a whole
     /// time grid, batched per module.
     pub fn unreliability_with_repair_many(&self, ts: &[f64]) -> Vec<f64> {
-        self.combine_complement(ts, |m, ts| m.report.unreliability_with_repair_many(ts))
+        self.combine_complement(ts, |m, ts| m.curve(ts, Measure::UnreliabilityWithRepair))
     }
 
     /// System no-repair reliability over a whole time grid, batched per
@@ -104,7 +129,7 @@ impl ModularAnalysis {
         let per_module: Vec<Vec<f64>> = self
             .modules
             .iter()
-            .map(|m| m.report.reliability_many(ts))
+            .map(|m| m.curve(ts, Measure::Reliability))
             .collect();
         (0..ts.len())
             .map(|i| per_module.iter().map(|c| c[i]).product())
@@ -249,14 +274,19 @@ pub fn modular_analysis(
         opts.clone()
     };
     let results = ioimc::par::par_map(threads, &jobs, |_, (_, _, sub)| {
-        Analysis::new(sub)?.with_options(worker_opts.clone()).run()
+        let session = Session::new(sub)?.with_options(worker_opts.clone());
+        // Both configurations up front: the availability measures and the
+        // no-repair reliability.
+        session
+            .prefetch_measures(&[Measure::SteadyStateAvailability, Measure::Reliability(0.0)])?;
+        Ok::<_, ArcadeError>(session)
     });
     let mut modules = Vec::with_capacity(jobs.len());
-    for ((name, components, _), report) in jobs.into_iter().zip(results) {
+    for ((name, components, _), session) in jobs.into_iter().zip(results) {
         modules.push(ModuleAnalysis {
             name,
             components,
-            report: report?,
+            session: session?,
         });
     }
     Ok(ModularAnalysis { modules })
@@ -339,17 +369,23 @@ mod tests {
         let opts = EngineOptions::new();
         let modular = modular_analysis(&def, &opts).unwrap();
         assert_eq!(modular.modules.len(), 2);
-        let mono = Analysis::new(&def).unwrap().run().unwrap();
+        let mono = Session::new(&def).unwrap();
+        let mono = |m: Measure| mono.value(&m).unwrap();
         assert!(
-            (modular.steady_state_unavailability() - mono.steady_state_unavailability()).abs()
+            (modular.steady_state_unavailability() - mono(Measure::SteadyStateUnavailability))
+                .abs()
                 < 1e-10
         );
         let t = 3.0;
-        assert!((modular.reliability(t) - mono.reliability(t)).abs() < 1e-9);
+        assert!((modular.reliability(t) - mono(Measure::Reliability(t))).abs() < 1e-9);
         assert!(
-            (modular.unreliability_with_repair(t) - mono.unreliability_with_repair(t)).abs() < 1e-9
+            (modular.unreliability_with_repair(t) - mono(Measure::UnreliabilityWithRepair(t)))
+                .abs()
+                < 1e-9
         );
-        assert!((modular.point_unavailability(t) - mono.point_unavailability(t)).abs() < 1e-9);
+        assert!(
+            (modular.point_unavailability(t) - mono(Measure::PointUnavailability(t))).abs() < 1e-9
+        );
         assert!(
             (modular.steady_state_availability() + modular.steady_state_unavailability() - 1.0)
                 .abs()

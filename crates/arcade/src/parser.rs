@@ -43,7 +43,7 @@ use crate::expr::{Expr, Literal, ModeRef};
 ///
 /// Returns [`ArcadeError::Parse`] with a line number on syntax errors; the
 /// result is *not* yet semantically validated (use
-/// [`crate::model::validate`] or [`crate::Analysis::new`]).
+/// [`crate::model::validate`] or [`crate::Session::new`]).
 pub fn parse_system(input: &str) -> Result<SystemDef, ArcadeError> {
     let mut def = SystemDef::new("parsed");
     let mut block: Option<Block> = None;

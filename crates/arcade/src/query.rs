@@ -73,12 +73,11 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use ctmc::csl::StateFormula;
 use ctmc::measures::state_mass as mass;
 use ctmc::transient::transient_many_from_ctx;
-use ctmc::{Ctmc, MeasureContext, TransientOptions};
+use ctmc::{Ctmc, MeasureContext};
 use ioimc::budget::{self, Budget, BudgetExceeded};
 
 use crate::ast::SystemDef;
@@ -142,7 +141,7 @@ pub struct SessionStats {
     /// Poisson weight lookups that had to expand a fresh vector.
     pub poisson_misses: u64,
     /// Poisson weight vectors evicted from the session's bounded memo
-    /// (see [`ctmc::poisson::DEFAULT_CAPACITY`]).
+    /// (see [`ctmc::PoissonCache::DEFAULT_CAPACITY`]).
     pub poisson_evictions: u64,
     /// DTMC matrix-vector products this session performed. Counted
     /// through the session's own [`ctmc::MeasureContext`], so concurrent
@@ -171,7 +170,7 @@ pub struct SessionStats {
     pub states_resigned: u64,
 }
 
-/// What one [`Session::evaluate_traced`] call did to the aggregation
+/// What one [`Session::prefetch_measures`] call did to the aggregation
 /// cache — the attribution record the `arcaded` server turns into its
 /// cache-hit / cache-miss / in-flight-dedup counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -318,10 +317,48 @@ pub struct SweepResult {
 #[derive(Debug, Clone, Default)]
 struct ConfigCache {
     agg: RetryCell<Result<Arc<Aggregation>, ArcadeError>, ArcadeError>,
+    derived: Derived,
+}
+
+/// What the batch planner derives from one configuration's chain, each at
+/// most once: the down-state list, the steady-state vector, the
+/// absorbing-down chain and the MTTF.
+#[derive(Debug, Clone, Default)]
+struct Derived {
+    down: OnceLock<Vec<u32>>,
     steady: OnceLock<Vec<f64>>,
-    down: OnceLock<Arc<[u32]>>,
     absorbing: OnceLock<Ctmc>,
     mttf: OnceLock<f64>,
+}
+
+/// One configuration's chain as the batch planner solves it.
+enum Chain<'s> {
+    /// The memoized aggregation. Its derived artifacts live in the
+    /// session's [`ConfigCache`] and are counted in [`SessionStats`].
+    Memo(Arc<Aggregation>, &'s Derived),
+    /// The aggregation re-rated to a parameter point. Its derived
+    /// artifacts are per-call scratch, counted nowhere.
+    Rerated(Box<(Ctmc, Derived)>),
+}
+
+impl Chain<'_> {
+    fn ctmc(&self) -> &Ctmc {
+        match self {
+            Chain::Memo(agg, _) => &agg.ctmc,
+            Chain::Rerated(scratch) => &scratch.0,
+        }
+    }
+
+    fn derived(&self) -> &Derived {
+        match self {
+            Chain::Memo(_, derived) => derived,
+            Chain::Rerated(scratch) => &scratch.1,
+        }
+    }
+
+    fn is_memo(&self) -> bool {
+        matches!(self, Chain::Memo(..))
+    }
 }
 
 /// Which model configuration a measure needs.
@@ -494,7 +531,7 @@ impl Session {
             // in refinement) so waiters blocked on this cell receive a
             // *typed* error instead of a silent retry, and the cell's
             // caching policy below can tell transient failures apart.
-            let agg = catch_eval(|| {
+            let agg = eval_guarded(&budget::current(), || {
                 chaos::failpoint("session.agg");
                 build_aggregation(&self.config_def(cfg), opts)
             });
@@ -592,19 +629,6 @@ impl Session {
         Ok(())
     }
 
-    /// Eagerly builds **both** model configurations (availability and
-    /// no-repair), in parallel when more than one thread is available.
-    /// Used by the eager [`crate::analysis::Analysis::run`] wrapper;
-    /// purely an optimization — the lazy per-measure path builds the same
-    /// artifacts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates composition/determinism/analysis errors.
-    pub fn prefetch_all(&self) -> Result<(), ArcadeError> {
-        self.prefetch(&[Config::Availability, Config::NoRepair], None)
-    }
-
     /// The aggregation of the availability configuration (repairs active),
     /// building it if this is the first query to need it.
     ///
@@ -625,97 +649,15 @@ impl Session {
         self.aggregation(Config::NoRepair)
     }
 
-    fn down_states(&self, cfg: Config) -> Result<Arc<[u32]>, ArcadeError> {
-        let agg = self.aggregation(cfg)?;
-        Ok(self
-            .cache(cfg)
-            .down
-            .get_or_init(|| agg.ctmc.states_with_label(DOWN_BIT).collect())
-            .clone())
-    }
-
-    fn steady(&self, cfg: Config) -> Result<&[f64], ArcadeError> {
-        let agg = self.aggregation(cfg)?;
-        Ok(self.cache(cfg).steady.get_or_init(|| {
-            chaos::failpoint("session.solve");
-            self.steady_solves.fetch_add(1, Ordering::Relaxed);
-            ctmc::steady::steady_state_with(&agg.ctmc, &self.opts.solver)
-        }))
-    }
-
-    fn absorbing(&self, cfg: Config) -> Result<&Ctmc, ArcadeError> {
-        let down = self.down_states(cfg)?;
-        let agg = self.aggregation(cfg)?;
-        Ok(self.cache(cfg).absorbing.get_or_init(|| {
-            self.absorbing_built.fetch_add(1, Ordering::Relaxed);
-            agg.ctmc.make_absorbing(down.iter().copied())
-        }))
-    }
-
-    fn mttf(&self) -> Result<f64, ArcadeError> {
-        let down = self.down_states(Config::Availability)?;
-        let agg = self.aggregation(Config::Availability)?;
-        Ok(*self.cache(Config::Availability).mttf.get_or_init(|| {
-            chaos::failpoint("session.solve");
-            if down.is_empty() {
-                f64::INFINITY
-            } else {
-                ctmc::absorbing::mean_time_to_absorption_with(&agg.ctmc, &down, &self.opts.solver)
-            }
-        }))
-    }
-
-    fn steady_down_mass(&self) -> Result<f64, ArcadeError> {
-        let down = self.down_states(Config::Availability)?;
-        let pi = self.steady(Config::Availability)?;
-        Ok(mass(&down, pi))
-    }
-
-    /// Point unavailabilities over a grid: one batched transient sweep on
-    /// the availability CTMC (sharded/steady-state-aware per
-    /// [`EngineOptions::solver`], Poisson weights from the session memo).
-    fn unavailability_curve(&self, ts: &[f64]) -> Result<Vec<f64>, ArcadeError> {
-        let down = self.down_states(Config::Availability)?;
-        let agg = self.aggregation(Config::Availability)?;
-        let ctmc = &agg.ctmc;
-        chaos::failpoint("session.solve");
-        Ok(transient_many_from_ctx(
-            ctmc,
-            &ctmc.initial_distribution(),
-            ts,
-            &self.opts.solver.transient,
-            &self.ctx,
-        )
-        .iter()
-        .map(|pi| mass(&down, pi))
-        .collect())
-    }
-
-    /// First-passage probabilities over a grid for `cfg`: one cached
-    /// absorbing transformation, one batched sweep.
-    fn first_passage_curve(&self, cfg: Config, ts: &[f64]) -> Result<Vec<f64>, ArcadeError> {
-        let down = self.down_states(cfg)?;
-        if down.is_empty() {
-            return Ok(vec![0.0; ts.len()]);
-        }
-        let absorbing = self.absorbing(cfg)?;
-        Ok(transient_many_from_ctx(
-            absorbing,
-            &absorbing.initial_distribution(),
-            ts,
-            &self.opts.solver.transient,
-            &self.ctx,
-        )
-        .iter()
-        .map(|pi| mass(&down, pi))
-        .collect())
-    }
-
     /// Builds exactly the configurations `measures` will need, without
     /// evaluating anything, and reports what that did to the aggregation
-    /// cache. A subsequent [`Session::evaluate`] of the same batch finds
-    /// every aggregation warm — the `arcaded` server uses this to time
-    /// the build phase separately from the sweep phase.
+    /// cache ([`EvalTrace`]): how many cold configurations this call built
+    /// itself, and how many builds already in flight on other threads it
+    /// blocked on. A fully warm call reports zeros for both. A subsequent
+    /// [`Session::evaluate`] of the same batch finds every aggregation
+    /// warm — the `arcaded` server uses this to time the build phase
+    /// separately from the sweep phase, and turns the trace into its
+    /// cache-hit / cache-miss / in-flight-dedup counters.
     ///
     /// # Errors
     ///
@@ -744,230 +686,17 @@ impl Session {
     /// uniformization sweep. Returns the values in the order of
     /// `measures`.
     ///
+    /// Under an ambient [`ioimc::budget`] scope the evaluation aborts
+    /// cooperatively: a trip during aggregation returns
+    /// [`ArcadeError::Budget`], one inside a solver unwinds with a
+    /// [`ioimc::budget::BudgetExceeded`] payload for the caller to catch
+    /// (the `arcaded` server does both per request).
+    ///
     /// # Errors
     ///
     /// Propagates composition/determinism/analysis errors.
     pub fn evaluate(&self, measures: &[Measure]) -> Result<Vec<f64>, ArcadeError> {
-        Ok(self.evaluate_traced(measures)?.0)
-    }
-
-    /// [`Session::evaluate`] under a wall-clock deadline: the evaluation
-    /// aborts cooperatively (at composition chunks, refinement rounds,
-    /// uniformization segments, solver sweeps) once `deadline` has
-    /// elapsed, returning [`ArcadeError::Budget`] instead of running to
-    /// completion. Artifacts finished before the trip stay cached; a
-    /// partially built aggregation is discarded, and a later call — with
-    /// a larger budget — rebuilds it from scratch.
-    ///
-    /// # Errors
-    ///
-    /// [`ArcadeError::Budget`] on deadline expiry; otherwise as
-    /// [`Session::evaluate`].
-    pub fn evaluate_deadline(
-        &self,
-        measures: &[Measure],
-        deadline: Duration,
-    ) -> Result<Vec<f64>, ArcadeError> {
-        self.evaluate_bounded(
-            measures,
-            Arc::new(Budget::unlimited().with_deadline(deadline)),
-        )
-    }
-
-    /// [`Session::evaluate`] under an explicit [`Budget`] (deadline,
-    /// state/transition ceilings, cancellation — see [`ioimc::budget`]).
-    /// The budget is installed as the ambient scope of the evaluation and
-    /// carried across its internal fan-outs; any panic escaping the
-    /// evaluation (a budget checkpoint deep in a solver, an injected
-    /// fault) is caught here and classified into [`ArcadeError::Budget`]
-    /// or [`ArcadeError::Internal`] — it never unwinds into the caller.
-    ///
-    /// Hold a clone of the `Arc` and call [`Budget::cancel`] from another
-    /// thread to abort an evaluation in flight.
-    ///
-    /// # Errors
-    ///
-    /// [`ArcadeError::Budget`] when a limit trips,
-    /// [`ArcadeError::Internal`] when the evaluation panicked; otherwise
-    /// as [`Session::evaluate`].
-    pub fn evaluate_bounded(
-        &self,
-        measures: &[Measure],
-        budget: Arc<Budget>,
-    ) -> Result<Vec<f64>, ArcadeError> {
-        let scoped = budget.clone();
-        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            budget::scope(Some(scoped), || self.evaluate(measures))
-        })) {
-            Ok(r) => r,
-            Err(payload) => Err(classify_panic(payload.as_ref(), Some(&budget))),
-        }
-    }
-
-    /// [`Session::sweep`] under a wall-clock deadline — the sweep
-    /// counterpart of [`Session::evaluate_deadline`].
-    ///
-    /// # Errors
-    ///
-    /// [`ArcadeError::Budget`] on deadline expiry; otherwise as
-    /// [`Session::sweep`].
-    pub fn sweep_deadline(
-        &self,
-        measures: &[Measure],
-        grid: &ParamGrid,
-        deadline: Duration,
-    ) -> Result<SweepResult, ArcadeError> {
-        self.sweep_bounded(
-            measures,
-            grid,
-            Arc::new(Budget::unlimited().with_deadline(deadline)),
-        )
-    }
-
-    /// [`Session::sweep`] under an explicit [`Budget`] — the sweep
-    /// counterpart of [`Session::evaluate_bounded`].
-    ///
-    /// # Errors
-    ///
-    /// [`ArcadeError::Budget`] when a limit trips,
-    /// [`ArcadeError::Internal`] when the sweep panicked; otherwise as
-    /// [`Session::sweep`].
-    pub fn sweep_bounded(
-        &self,
-        measures: &[Measure],
-        grid: &ParamGrid,
-        budget: Arc<Budget>,
-    ) -> Result<SweepResult, ArcadeError> {
-        let scoped = budget.clone();
-        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            budget::scope(Some(scoped), || self.sweep(measures, grid))
-        })) {
-            Ok(r) => r,
-            Err(payload) => Err(classify_panic(payload.as_ref(), Some(&budget))),
-        }
-    }
-
-    /// Like [`Session::evaluate`], additionally reporting what this call
-    /// did to the aggregation cache: how many cold configurations it
-    /// built itself, and how many builds already in flight on other
-    /// threads it blocked on ([`EvalTrace`]). A fully warm call reports
-    /// zeros for both — the attribution the `arcaded` server's
-    /// cache-hit/miss/dedup counters are made of.
-    ///
-    /// # Errors
-    ///
-    /// Propagates composition/determinism/analysis errors.
-    pub fn evaluate_traced(
-        &self,
-        measures: &[Measure],
-    ) -> Result<(Vec<f64>, EvalTrace), ArcadeError> {
-        let trace = TraceCells::default();
-        // Gather the time grids per (configuration, kind).
-        let mut unavail_ts = Vec::new();
-        let mut fp_repair_ts = Vec::new();
-        let mut fp_norepair_ts = Vec::new();
-        let mut needs_avail = false;
-        for m in measures {
-            match m {
-                Measure::PointAvailability(t) | Measure::PointUnavailability(t) => {
-                    unavail_ts.push(*t);
-                    needs_avail = true;
-                }
-                Measure::UnreliabilityWithRepair(t) => {
-                    fp_repair_ts.push(*t);
-                    needs_avail = true;
-                }
-                Measure::Reliability(t) | Measure::Unreliability(t) => {
-                    fp_norepair_ts.push(*t);
-                }
-                _ => needs_avail = true,
-            }
-        }
-        // When the batch spans both configurations and neither is built
-        // yet, aggregate them concurrently instead of back to back.
-        let mut need: Vec<Config> = Vec::new();
-        if needs_avail {
-            need.push(Config::Availability);
-        }
-        if !fp_norepair_ts.is_empty() {
-            need.push(Config::NoRepair);
-        }
-        self.prefetch(&need, Some(&trace))?;
-        let unavail = if unavail_ts.is_empty() {
-            Vec::new()
-        } else {
-            self.unavailability_curve(&unavail_ts)?
-        };
-        let fp_repair = if fp_repair_ts.is_empty() {
-            Vec::new()
-        } else {
-            self.first_passage_curve(Config::Availability, &fp_repair_ts)?
-        };
-        let fp_norepair = if fp_norepair_ts.is_empty() {
-            Vec::new()
-        } else {
-            self.first_passage_curve(Config::NoRepair, &fp_norepair_ts)?
-        };
-
-        // Read the batched results back out in measure order.
-        let (mut ui, mut ri, mut ni) = (0usize, 0usize, 0usize);
-        let mut out = Vec::with_capacity(measures.len());
-        for m in measures {
-            let v = match m {
-                Measure::SteadyStateAvailability => 1.0 - self.steady_down_mass()?,
-                Measure::SteadyStateUnavailability => self.steady_down_mass()?,
-                Measure::PointAvailability(_) => {
-                    ui += 1;
-                    1.0 - unavail[ui - 1]
-                }
-                Measure::PointUnavailability(_) => {
-                    ui += 1;
-                    unavail[ui - 1]
-                }
-                Measure::UnreliabilityWithRepair(_) => {
-                    ri += 1;
-                    fp_repair[ri - 1]
-                }
-                Measure::Reliability(_) => {
-                    ni += 1;
-                    1.0 - fp_norepair[ni - 1]
-                }
-                Measure::Unreliability(_) => {
-                    ni += 1;
-                    fp_norepair[ni - 1]
-                }
-                Measure::Mttf => self.mttf()?,
-                Measure::IntervalAvailability(t) => {
-                    let agg = self.aggregation(Config::Availability)?;
-                    1.0 - ctmc::csl::interval_down_fraction_ctx(
-                        &agg.ctmc,
-                        &StateFormula::down(),
-                        *t,
-                        &self.opts.solver.transient,
-                        &self.ctx,
-                    )
-                }
-                Measure::BoundedUntil { phi, psi, t } => {
-                    let agg = self.aggregation(Config::Availability)?;
-                    ctmc::csl::until_bounded_ctx(
-                        &agg.ctmc,
-                        phi,
-                        psi,
-                        *t,
-                        &self.opts.solver.transient,
-                        &self.ctx,
-                    )
-                }
-            };
-            out.push(v);
-        }
-        Ok((
-            out,
-            EvalTrace {
-                built: trace.built.load(Ordering::Relaxed),
-                waited: trace.waited.load(Ordering::Relaxed),
-            },
-        ))
+        self.plan(measures, None)
     }
 
     /// Evaluates a measure batch at one parameter point of a parametric
@@ -1013,7 +742,7 @@ impl Session {
                 )));
             }
         }
-        self.evaluate_at_full(measures, values)
+        self.plan(measures, Some(values))
     }
 
     /// Evaluates a measure batch over a whole [`ParamGrid`]: each needed
@@ -1094,12 +823,16 @@ impl Session {
         // thread-local is re-installed inside each worker.
         let budget = budget::current();
         let results = ioimc::par::par_map(threads, &fulls, |_, full| {
-            // The sweep fan-out boundary: one hit per grid point, on the
-            // worker about to solve it. An injected panic propagates
-            // through the scoped join and is classified by
-            // `sweep_bounded` / the server's per-request ring.
-            chaos::failpoint("session.sweep_point");
-            budget::scope(budget.clone(), || self.evaluate_at_full(measures, full))
+            budget::scope(budget.clone(), || {
+                // The sweep fan-out boundary: one hit per grid point, on
+                // the worker about to solve it, inside the budget scope so
+                // an injected delay polls the caller's deadline. An
+                // injected panic propagates through the scoped join and is
+                // classified by the caller's guard (the server's
+                // per-request `eval_guarded`).
+                chaos::failpoint("session.sweep_point");
+                self.plan(measures, Some(full))
+            })
         });
         let mut values = Vec::with_capacity(results.len());
         for r in results {
@@ -1114,184 +847,177 @@ impl Session {
         })
     }
 
-    /// Re-rates the cached quotient of `cfg` to the full parameter vector
-    /// `full` (one value per declared parameter).
-    fn rerated(&self, cfg: Config, full: &[f64]) -> Result<Ctmc, ArcadeError> {
-        Ok(self.aggregation(cfg)?.ctmc.rerate(full)?)
-    }
-
-    /// The per-point evaluation path shared by [`Session::evaluate_at`]
-    /// and [`Session::sweep`]: mirrors [`Session::evaluate_traced`]'s
-    /// batching exactly, but on freshly re-rated chains instead of the
-    /// per-configuration memo — so a point at the declared base values
-    /// reproduces the memoized path bitwise.
-    fn evaluate_at_full(
-        &self,
-        measures: &[Measure],
-        full: &[f64],
-    ) -> Result<Vec<f64>, ArcadeError> {
+    /// The one batch planner behind [`Session::evaluate`],
+    /// [`Session::evaluate_at`] and [`Session::sweep`]. It gathers the time
+    /// grids per configuration and measure kind, builds (or re-rates) the
+    /// chains, runs one uniformization sweep per kind and reads the values
+    /// back in measure order.
+    ///
+    /// `at` picks where the chains come from: `None` solves the memoized
+    /// aggregations, whose derived artifacts are built once per session;
+    /// `Some(full)` re-rates them to the full parameter vector `full` and
+    /// solves that scratch chain. Both run the same code from here on, so
+    /// a point at the declared base values reproduces the memoized answer
+    /// bitwise.
+    fn plan(&self, measures: &[Measure], at: Option<&[f64]>) -> Result<Vec<f64>, ArcadeError> {
+        // Gather the time grids per (configuration, kind).
         let mut unavail_ts = Vec::new();
         let mut fp_repair_ts = Vec::new();
         let mut fp_norepair_ts = Vec::new();
-        let mut needs_avail = false;
         for m in measures {
             match m {
                 Measure::PointAvailability(t) | Measure::PointUnavailability(t) => {
                     unavail_ts.push(*t);
-                    needs_avail = true;
                 }
-                Measure::UnreliabilityWithRepair(t) => {
-                    fp_repair_ts.push(*t);
-                    needs_avail = true;
-                }
-                Measure::Reliability(t) | Measure::Unreliability(t) => {
-                    fp_norepair_ts.push(*t);
-                }
-                _ => needs_avail = true,
+                Measure::UnreliabilityWithRepair(t) => fp_repair_ts.push(*t),
+                Measure::Reliability(t) | Measure::Unreliability(t) => fp_norepair_ts.push(*t),
+                _ => {}
             }
         }
-        let mut need: Vec<Config> = Vec::new();
-        if needs_avail {
-            need.push(Config::Availability);
-        }
-        if !fp_norepair_ts.is_empty() {
-            need.push(Config::NoRepair);
-        }
+        // When the batch spans both configurations and neither is built
+        // yet, aggregate them concurrently instead of back to back.
+        let need = needed_configs(measures);
         self.prefetch(&need, None)?;
+        let chain = |cfg| need.contains(&cfg).then(|| self.chain(cfg, at)).transpose();
+        let avail = chain(Config::Availability)?;
+        let norepair = chain(Config::NoRepair)?;
+        let avail = || {
+            avail
+                .as_ref()
+                .expect("the batch needs the availability chain")
+        };
 
-        let avail = if needs_avail {
-            Some(self.rerated(Config::Availability, full)?)
-        } else {
-            None
-        };
-        let norepair = if fp_norepair_ts.is_empty() {
-            None
-        } else {
-            Some(self.rerated(Config::NoRepair, full)?)
-        };
-        let avail_chain = || avail.as_ref().expect("availability chain was re-rated");
-        let avail_down: Vec<u32> = avail
-            .as_ref()
-            .map(|c| c.states_with_label(DOWN_BIT).collect())
-            .unwrap_or_default();
-
-        let needs_steady = measures.iter().any(|m| {
-            matches!(
-                m,
-                Measure::SteadyStateAvailability | Measure::SteadyStateUnavailability
-            )
-        });
-        let steady_down = if needs_steady {
-            let pi = ctmc::steady::steady_state_with(avail_chain(), &self.opts.solver);
-            Some(mass(&avail_down, &pi))
-        } else {
-            None
-        };
-        let mttf = if measures.iter().any(|m| matches!(m, Measure::Mttf)) {
-            Some(if avail_down.is_empty() {
-                f64::INFINITY
-            } else {
-                ctmc::absorbing::mean_time_to_absorption_with(
-                    avail_chain(),
-                    &avail_down,
-                    &self.opts.solver,
-                )
-            })
-        } else {
-            None
-        };
+        // One sweep per kind over its whole grid.
         let unavail = if unavail_ts.is_empty() {
             Vec::new()
         } else {
-            let c = avail_chain();
-            transient_many_from_ctx(
-                c,
-                &c.initial_distribution(),
-                &unavail_ts,
-                &self.opts.solver.transient,
-                &self.ctx,
-            )
-            .iter()
-            .map(|pi| mass(&avail_down, pi))
-            .collect()
+            self.unavailability_curve(avail(), &unavail_ts)
         };
         let fp_repair = if fp_repair_ts.is_empty() {
             Vec::new()
         } else {
-            point_first_passage(
-                avail_chain(),
-                &avail_down,
-                &fp_repair_ts,
-                &self.opts.solver.transient,
-                &self.ctx,
-            )
+            self.first_passage_curve(avail(), &fp_repair_ts)
         };
-        let fp_norepair = if fp_norepair_ts.is_empty() {
-            Vec::new()
-        } else {
-            let c = norepair.as_ref().expect("no-repair chain was re-rated");
-            let down: Vec<u32> = c.states_with_label(DOWN_BIT).collect();
-            point_first_passage(
-                c,
-                &down,
-                &fp_norepair_ts,
-                &self.opts.solver.transient,
-                &self.ctx,
-            )
+        let fp_norepair = match &norepair {
+            Some(c) => self.first_passage_curve(c, &fp_norepair_ts),
+            None => Vec::new(),
         };
 
-        let (mut ui, mut ri, mut ni) = (0usize, 0usize, 0usize);
-        let mut out = Vec::with_capacity(measures.len());
-        for m in measures {
-            let v = match m {
-                Measure::SteadyStateAvailability => {
-                    1.0 - steady_down.expect("steady mass was computed")
-                }
-                Measure::SteadyStateUnavailability => {
-                    steady_down.expect("steady mass was computed")
-                }
-                Measure::PointAvailability(_) => {
-                    ui += 1;
-                    1.0 - unavail[ui - 1]
-                }
-                Measure::PointUnavailability(_) => {
-                    ui += 1;
-                    unavail[ui - 1]
-                }
-                Measure::UnreliabilityWithRepair(_) => {
-                    ri += 1;
-                    fp_repair[ri - 1]
-                }
-                Measure::Reliability(_) => {
-                    ni += 1;
-                    1.0 - fp_norepair[ni - 1]
-                }
-                Measure::Unreliability(_) => {
-                    ni += 1;
-                    fp_norepair[ni - 1]
-                }
-                Measure::Mttf => mttf.expect("MTTF was computed"),
+        // Read the values back in measure order.
+        let (mut unavail, mut fp_repair, mut fp_norepair) = (
+            unavail.into_iter(),
+            fp_repair.into_iter(),
+            fp_norepair.into_iter(),
+        );
+        let next = |curve: &mut std::vec::IntoIter<f64>| curve.next().expect("one value per time");
+        let opts = &self.opts.solver.transient;
+        Ok(measures
+            .iter()
+            .map(|m| match m {
+                Measure::SteadyStateAvailability => 1.0 - self.steady_down_mass(avail()),
+                Measure::SteadyStateUnavailability => self.steady_down_mass(avail()),
+                Measure::PointAvailability(_) => 1.0 - next(&mut unavail),
+                Measure::PointUnavailability(_) => next(&mut unavail),
+                Measure::UnreliabilityWithRepair(_) => next(&mut fp_repair),
+                Measure::Reliability(_) => 1.0 - next(&mut fp_norepair),
+                Measure::Unreliability(_) => next(&mut fp_norepair),
+                Measure::Mttf => self.mttf(avail()),
                 Measure::IntervalAvailability(t) => {
                     1.0 - ctmc::csl::interval_down_fraction_ctx(
-                        avail_chain(),
+                        avail().ctmc(),
                         &StateFormula::down(),
                         *t,
-                        &self.opts.solver.transient,
+                        opts,
                         &self.ctx,
                     )
                 }
-                Measure::BoundedUntil { phi, psi, t } => ctmc::csl::until_bounded_ctx(
-                    avail_chain(),
-                    phi,
-                    psi,
-                    *t,
-                    &self.opts.solver.transient,
-                    &self.ctx,
-                ),
-            };
-            out.push(v);
+                Measure::BoundedUntil { phi, psi, t } => {
+                    ctmc::csl::until_bounded_ctx(avail().ctmc(), phi, psi, *t, opts, &self.ctx)
+                }
+            })
+            .collect())
+    }
+
+    /// The chain of `cfg` the planner solves: the memoized aggregation,
+    /// or that aggregation re-rated to the full parameter vector `at`.
+    fn chain(&self, cfg: Config, at: Option<&[f64]>) -> Result<Chain<'_>, ArcadeError> {
+        let agg = self.aggregation(cfg)?;
+        Ok(match at {
+            None => Chain::Memo(agg, &self.cache(cfg).derived),
+            Some(full) => Chain::Rerated(Box::new((agg.ctmc.rerate(full)?, Derived::default()))),
+        })
+    }
+
+    fn down<'c>(&self, c: &'c Chain) -> &'c [u32] {
+        c.derived()
+            .down
+            .get_or_init(|| c.ctmc().states_with_label(DOWN_BIT).collect())
+    }
+
+    fn steady_down_mass(&self, c: &Chain) -> f64 {
+        let pi = c.derived().steady.get_or_init(|| {
+            if c.is_memo() {
+                chaos::failpoint("session.solve");
+                self.steady_solves.fetch_add(1, Ordering::Relaxed);
+            }
+            ctmc::steady::steady_state_with(c.ctmc(), &self.opts.solver)
+        });
+        mass(self.down(c), pi)
+    }
+
+    fn mttf(&self, c: &Chain) -> f64 {
+        let down = self.down(c);
+        *c.derived().mttf.get_or_init(|| {
+            if c.is_memo() {
+                chaos::failpoint("session.solve");
+            }
+            if down.is_empty() {
+                f64::INFINITY
+            } else {
+                ctmc::absorbing::mean_time_to_absorption_with(c.ctmc(), down, &self.opts.solver)
+            }
+        })
+    }
+
+    /// Point unavailabilities over a grid: one batched transient sweep on
+    /// the chain (sharded/steady-state-aware per
+    /// [`EngineOptions::solver`], Poisson weights from the session memo).
+    fn unavailability_curve(&self, c: &Chain, ts: &[f64]) -> Vec<f64> {
+        if c.is_memo() {
+            chaos::failpoint("session.solve");
         }
-        Ok(out)
+        self.curve(c.ctmc(), self.down(c), ts)
+    }
+
+    /// First-passage probabilities over a grid: one absorbing-down
+    /// transform of the chain (built once per chain), one batched sweep.
+    fn first_passage_curve(&self, c: &Chain, ts: &[f64]) -> Vec<f64> {
+        let down = self.down(c);
+        if down.is_empty() {
+            return vec![0.0; ts.len()];
+        }
+        let absorbing = c.derived().absorbing.get_or_init(|| {
+            if c.is_memo() {
+                self.absorbing_built.fetch_add(1, Ordering::Relaxed);
+            }
+            c.ctmc().make_absorbing(down.iter().copied())
+        });
+        self.curve(absorbing, down, ts)
+    }
+
+    /// One batched sweep of `ts` from the chain's initial state, read
+    /// back as the mass on `down` at each time.
+    fn curve(&self, ctmc: &Ctmc, down: &[u32], ts: &[f64]) -> Vec<f64> {
+        transient_many_from_ctx(
+            ctmc,
+            &ctmc.initial_distribution(),
+            ts,
+            &self.opts.solver.transient,
+            &self.ctx,
+        )
+        .iter()
+        .map(|pi| mass(down, pi))
+        .collect()
     }
 }
 
@@ -1305,8 +1031,7 @@ struct TraceCells {
 
 /// The model configurations a measure batch needs: the no-repair
 /// configuration for (un)reliability, the availability configuration for
-/// everything else — the same rule [`Session::evaluate`] applies while
-/// gathering its grids.
+/// everything else.
 fn needed_configs(measures: &[Measure]) -> Vec<Config> {
     let mut need = Vec::new();
     if measures
@@ -1322,27 +1047,6 @@ fn needed_configs(measures: &[Measure]) -> Vec<Config> {
         need.push(Config::NoRepair);
     }
     need
-}
-
-/// First-passage probabilities over a grid for one sweep point: an
-/// absorbing transform on the re-rated chain, one batched sweep. The
-/// per-point transform is sweep scratch, not a session artifact, so it is
-/// not recorded in [`SessionStats::absorbing_built`].
-fn point_first_passage(
-    ctmc: &Ctmc,
-    down: &[u32],
-    ts: &[f64],
-    opts: &TransientOptions,
-    ctx: &MeasureContext,
-) -> Vec<f64> {
-    if down.is_empty() {
-        return vec![0.0; ts.len()];
-    }
-    let absorbing = ctmc.make_absorbing(down.iter().copied());
-    transient_many_from_ctx(&absorbing, &absorbing.initial_distribution(), ts, opts, ctx)
-        .iter()
-        .map(|pi| mass(down, pi))
-        .collect()
 }
 
 /// Central-difference sensitivities over a cartesian grid: for point `i`,
@@ -1403,16 +1107,19 @@ fn build_aggregation(def: &SystemDef, opts: &EngineOptions) -> Result<Aggregatio
     aggregate(&model, opts)
 }
 
-/// Runs `f`, converting any panic into a structured [`ArcadeError`] via
-/// [`classify_panic`] (with the ambient budget consulted for trips whose
-/// typed payload did not survive a scoped-thread join).
-fn catch_eval<R>(f: impl FnOnce() -> Result<R, ArcadeError>) -> Result<R, ArcadeError> {
-    match std::panic::catch_unwind(AssertUnwindSafe(f)) {
+/// The one "budget scope + panic → typed error" guard: runs `f` with
+/// `budget` installed as the ambient budget and converts any panic into a
+/// structured [`ArcadeError`] via [`classify_panic`] (budget trips keep
+/// their structure; anything else becomes [`ArcadeError::Internal`]).
+/// With `None`, the caller's ambient budget (if any) stays in force.
+pub(crate) fn eval_guarded<R>(
+    budget: &Option<Arc<Budget>>,
+    f: impl FnOnce() -> Result<R, ArcadeError>,
+) -> Result<R, ArcadeError> {
+    let scoped = budget.clone();
+    match std::panic::catch_unwind(AssertUnwindSafe(|| budget::scope(scoped, f))) {
         Ok(r) => r,
-        Err(payload) => Err(classify_panic(
-            payload.as_ref(),
-            budget::current().as_deref(),
-        )),
+        Err(payload) => Err(classify_panic(payload.as_ref(), budget.as_deref())),
     }
 }
 
@@ -1548,9 +1255,31 @@ mod tests {
         for (m, (p, s)) in batch.iter().zip(par_values.iter().zip(&seq_values)) {
             assert_eq!(p.to_bits(), s.to_bits(), "{m:?}: {p} vs {s}");
         }
-        // prefetch_all on an already-warm session is a no-op.
-        par.prefetch_all().unwrap();
+        // Prefetching both configurations of a warm session is a no-op.
+        let trace = par.prefetch_measures(&batch).unwrap();
+        assert_eq!((trace.built, trace.waited), (0, 0));
         assert_eq!(par.stats().aggregations_built, 2);
+    }
+
+    #[test]
+    fn first_passage_differs_from_no_repair_reliability() {
+        // A redundant pair with repair: the first-passage unreliability
+        // is much smaller than the no-repair unreliability.
+        let mut def = SystemDef::new("t");
+        def.add_component(BcDef::new("a", Dist::exp(0.1), Dist::exp(5.0)));
+        def.add_component(BcDef::new("b", Dist::exp(0.1), Dist::exp(5.0)));
+        def.add_repair_unit(RuDef::new("ra", ["a"], RepairStrategy::Dedicated));
+        def.add_repair_unit(RuDef::new("rb", ["b"], RepairStrategy::Dedicated));
+        def.set_system_down(Expr::and([Expr::down("a"), Expr::down("b")]));
+        let session = Session::new(&def).unwrap();
+        let t = 10.0;
+        let v = session
+            .evaluate(&[
+                Measure::UnreliabilityWithRepair(t),
+                Measure::Unreliability(t),
+            ])
+            .unwrap();
+        assert!(v[0] > 0.0 && v[0] < v[1], "{v:?}");
     }
 
     #[test]
@@ -1607,17 +1336,28 @@ mod tests {
         def
     }
 
+    /// Both chain sources of the batch planner — the memoized
+    /// aggregation and the chain re-rated at the declared base values —
+    /// answer every `Measure` variant bitwise alike.
     #[test]
     fn evaluate_at_base_reproduces_evaluate_bitwise() {
         let def = param_pair();
         let session = Session::new(&def).unwrap();
         let measures = [
             Measure::SteadyStateAvailability,
+            Measure::SteadyStateUnavailability,
+            Measure::PointAvailability(5.0),
             Measure::PointUnavailability(5.0),
-            Measure::UnreliabilityWithRepair(5.0),
+            Measure::Reliability(5.0),
             Measure::Unreliability(5.0),
+            Measure::UnreliabilityWithRepair(5.0),
             Measure::Mttf,
             Measure::IntervalAvailability(5.0),
+            Measure::BoundedUntil {
+                phi: StateFormula::up(),
+                psi: StateFormula::down(),
+                t: 5.0,
+            },
         ];
         let memo = session.evaluate(&measures).unwrap();
         let at = session.evaluate_at(&measures, &[0.01, 2.0]).unwrap();

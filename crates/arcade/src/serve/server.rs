@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ioimc::budget::{self, Budget, BudgetKind};
+use ioimc::budget::{Budget, BudgetKind};
 
 use super::json::Json;
 use super::metrics::Metrics;
@@ -60,7 +60,7 @@ use super::registry::Registry;
 use crate::chaos;
 use crate::engine::EngineOptions;
 use crate::error::ArcadeError;
-use crate::query::SessionStats;
+use crate::query::{eval_guarded, EvalTrace, Session, SessionStats};
 use crate::sync::panic_message;
 
 /// Protocol schema version stamped into every response envelope.
@@ -512,24 +512,6 @@ fn request_budget(limits: Limits) -> Option<Arc<Budget>> {
     Some(Arc::new(b))
 }
 
-/// Runs one evaluation phase with the request budget installed as the
-/// ambient budget and every panic converted to a typed [`ArcadeError`]
-/// (budget trips keep their structure; anything else becomes
-/// [`ArcadeError::Internal`]).
-fn eval_guarded<R>(
-    budget: &Option<Arc<Budget>>,
-    f: impl FnOnce() -> Result<R, ArcadeError>,
-) -> Result<R, ArcadeError> {
-    let scoped = budget.clone();
-    match std::panic::catch_unwind(AssertUnwindSafe(|| budget::scope(scoped, f))) {
-        Ok(r) => r,
-        Err(payload) => Err(crate::query::classify_panic(
-            payload.as_ref(),
-            budget.as_deref(),
-        )),
-    }
-}
-
 /// Maps an evaluation error to its wire code — `deadline` for an expired
 /// wall clock, `budget` for a size ceiling or cancellation,
 /// `internal_panic` for a contained panic, `model_error` otherwise — and
@@ -554,73 +536,118 @@ fn arcade_error_response(inner: &Inner, e: &ArcadeError) -> Json {
     ProtoError::with_code(code, e.to_string()).to_json()
 }
 
+/// What the request prologue shared by queries and sweeps leaves the
+/// handler: the warm session, the request budget, and how the build
+/// phase went.
+struct Prepared {
+    session: Arc<Session>,
+    budget: Option<Arc<Budget>>,
+    trace: EvalTrace,
+    build_elapsed: Duration,
+}
+
+impl Prepared {
+    /// The registry lookup (counting retries and contained panics), then
+    /// the timed build phase: aggregate exactly the configurations the
+    /// batch needs (deduplicated inside the shared session) and attribute
+    /// it as a cache hit, miss or in-flight dedup wait. An `Err` is the
+    /// complete error response.
+    fn new(
+        inner: &Inner,
+        model: &str,
+        measures: &[crate::query::Measure],
+        limits: Limits,
+    ) -> Result<Self, Json> {
+        let budget = request_budget(limits);
+        let build_started = Instant::now();
+        let (session, retried) = inner.registry.session_traced(model);
+        if retried {
+            Metrics::bump(&inner.metrics.retries);
+        }
+        let session = session.map_err(|e| {
+            if e.code == "internal_panic" {
+                Metrics::bump(&inner.metrics.panics_caught);
+            }
+            e.to_json()
+        })?;
+        let trace = eval_guarded(&budget, || session.prefetch_measures(measures))
+            .map_err(|e| arcade_error_response(inner, &e))?;
+        let build_elapsed = build_started.elapsed();
+        inner.metrics.build.record(build_elapsed);
+        if trace.built > 0 {
+            Metrics::bump(&inner.metrics.cache_misses);
+        } else if trace.waited > 0 {
+            Metrics::bump(&inner.metrics.dedup_waits);
+        } else {
+            Metrics::bump(&inner.metrics.cache_hits);
+        }
+        Ok(Self {
+            session,
+            budget,
+            trace,
+            build_elapsed,
+        })
+    }
+
+    /// Whether the build phase had to wait for an aggregation.
+    fn cold(&self) -> bool {
+        self.trace.built > 0 || self.trace.waited > 0
+    }
+
+    /// The timed evaluation phase, under the request budget. Returns the
+    /// result with its wall time, or the complete error response.
+    fn evaluate<R>(
+        &self,
+        inner: &Inner,
+        f: impl FnOnce(&Session) -> Result<R, ArcadeError>,
+    ) -> Result<(R, Duration), Json> {
+        let eval_started = Instant::now();
+        let r = eval_guarded(&self.budget, || f(&self.session))
+            .map_err(|e| arcade_error_response(inner, &e))?;
+        let eval_elapsed = eval_started.elapsed();
+        inner.metrics.evaluate.record(eval_elapsed);
+        Ok((r, eval_elapsed))
+    }
+
+    /// The `timings` object of a response.
+    fn timings(&self, eval_elapsed: Duration) -> Json {
+        Json::obj([
+            ("build_us", Json::Num(self.build_elapsed.as_micros() as f64)),
+            ("evaluate_us", Json::Num(eval_elapsed.as_micros() as f64)),
+        ])
+    }
+}
+
 fn query_response(
     inner: &Inner,
     model: &str,
     measures: &[crate::query::Measure],
     limits: Limits,
 ) -> Json {
-    let budget = request_budget(limits);
-    let build_started = Instant::now();
-    let (session, retried) = inner.registry.session_traced(model);
-    if retried {
-        Metrics::bump(&inner.metrics.retries);
-    }
-    let session = match session {
-        Ok(s) => s,
-        Err(e) => {
-            if e.code == "internal_panic" {
-                Metrics::bump(&inner.metrics.panics_caught);
-            }
-            return e.to_json();
-        }
+    let prep = match Prepared::new(inner, model, measures, limits) {
+        Ok(p) => p,
+        Err(response) => return response,
     };
-    // Build phase: aggregate exactly the configurations the batch needs
-    // (deduplicated inside the shared session), timed separately from the
-    // sweeps.
-    let trace = match eval_guarded(&budget, || session.prefetch_measures(measures)) {
-        Ok(t) => t,
-        Err(e) => return arcade_error_response(inner, &e),
+    let (values, eval_elapsed) = match prep.evaluate(inner, |s| s.evaluate(measures)) {
+        Ok(r) => r,
+        Err(response) => return response,
     };
-    let build_elapsed = build_started.elapsed();
-    inner.metrics.build.record(build_elapsed);
-    let cold = trace.built > 0 || trace.waited > 0;
-    if trace.built > 0 {
-        Metrics::bump(&inner.metrics.cache_misses);
-    } else if trace.waited > 0 {
-        Metrics::bump(&inner.metrics.dedup_waits);
-    } else {
-        Metrics::bump(&inner.metrics.cache_hits);
-    }
-    let eval_started = Instant::now();
-    let values = match eval_guarded(&budget, || session.evaluate(measures)) {
-        Ok(v) => v,
-        Err(e) => return arcade_error_response(inner, &e),
-    };
-    let eval_elapsed = eval_started.elapsed();
-    inner.metrics.evaluate.record(eval_elapsed);
     ok_envelope(vec![
         ("model", Json::str(model)),
         (
             "values",
             Json::Arr(values.into_iter().map(Json::Num).collect()),
         ),
-        ("cold", Json::Bool(cold)),
+        ("cold", Json::Bool(prep.cold())),
         (
             "trace",
             Json::obj([
-                ("built", Json::Num(f64::from(trace.built))),
-                ("waited", Json::Num(f64::from(trace.waited))),
+                ("built", Json::Num(f64::from(prep.trace.built))),
+                ("waited", Json::Num(f64::from(prep.trace.waited))),
             ]),
         ),
-        ("session", session_stats_json(&session.stats())),
-        (
-            "timings",
-            Json::obj([
-                ("build_us", Json::Num(build_elapsed.as_micros() as f64)),
-                ("evaluate_us", Json::Num(eval_elapsed.as_micros() as f64)),
-            ]),
-        ),
+        ("session", session_stats_json(&prep.session.stats())),
+        ("timings", prep.timings(eval_elapsed)),
     ])
 }
 
@@ -631,45 +658,17 @@ fn sweep_response(
     grid: &crate::query::ParamGrid,
     limits: Limits,
 ) -> Json {
-    let budget = request_budget(limits);
-    let build_started = Instant::now();
-    let (session, retried) = inner.registry.session_traced(model);
-    if retried {
-        Metrics::bump(&inner.metrics.retries);
-    }
-    let session = match session {
-        Ok(s) => s,
-        Err(e) => {
-            if e.code == "internal_panic" {
-                Metrics::bump(&inner.metrics.panics_caught);
-            }
-            return e.to_json();
-        }
-    };
     // Same build-phase attribution as a query: the sweep itself re-rates
-    // the prefetched aggregations, so everything after this line is
-    // per-point solver work.
-    let trace = match eval_guarded(&budget, || session.prefetch_measures(measures)) {
-        Ok(t) => t,
-        Err(e) => return arcade_error_response(inner, &e),
+    // the prefetched aggregations, so the evaluation phase is per-point
+    // solver work.
+    let prep = match Prepared::new(inner, model, measures, limits) {
+        Ok(p) => p,
+        Err(response) => return response,
     };
-    let build_elapsed = build_started.elapsed();
-    inner.metrics.build.record(build_elapsed);
-    let cold = trace.built > 0 || trace.waited > 0;
-    if trace.built > 0 {
-        Metrics::bump(&inner.metrics.cache_misses);
-    } else if trace.waited > 0 {
-        Metrics::bump(&inner.metrics.dedup_waits);
-    } else {
-        Metrics::bump(&inner.metrics.cache_hits);
-    }
-    let eval_started = Instant::now();
-    let result = match eval_guarded(&budget, || session.sweep(measures, grid)) {
+    let (result, eval_elapsed) = match prep.evaluate(inner, |s| s.sweep(measures, grid)) {
         Ok(r) => r,
-        Err(e) => return arcade_error_response(inner, &e),
+        Err(response) => return response,
     };
-    let eval_elapsed = eval_started.elapsed();
-    inner.metrics.evaluate.record(eval_elapsed);
     let rows = |rows: &[Vec<f64>]| {
         Json::Arr(
             rows.iter()
@@ -707,15 +706,9 @@ fn sweep_response(
         ("points", rows(&result.points)),
         ("values", rows(&result.values)),
         ("sensitivities", sensitivities),
-        ("cold", Json::Bool(cold)),
-        ("session", session_stats_json(&session.stats())),
-        (
-            "timings",
-            Json::obj([
-                ("build_us", Json::Num(build_elapsed.as_micros() as f64)),
-                ("evaluate_us", Json::Num(eval_elapsed.as_micros() as f64)),
-            ]),
-        ),
+        ("cold", Json::Bool(prep.cold())),
+        ("session", session_stats_json(&prep.session.stats())),
+        ("timings", prep.timings(eval_elapsed)),
     ])
 }
 

@@ -7,10 +7,15 @@
 //! own integration-test binary (a separate process from the chaos-free
 //! `serve_protocol` tests) and serialize on [`chaos::test_lock`].
 
-use std::time::Duration;
+use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use arcade::chaos::{self, Action};
+use arcade::engine::EngineOptions;
+use arcade::prelude::*;
 use arcade::serve::{serve, Client, Json, ServerConfig};
+use ioimc::budget::{self, Budget};
 
 fn test_server(workers: usize) -> (arcade::serve::ServerHandle, String) {
     let config = ServerConfig {
@@ -114,4 +119,43 @@ fn worker_pool_survives_injected_panics_at_full_strength() {
 
     handle.shutdown();
     handle.join();
+}
+
+/// A delay injected at the sweep's per-point fan-out polls the caller's
+/// deadline on the worker threads too, so the sweep aborts promptly
+/// instead of sleeping the delay out and answering late.
+#[test]
+fn sweep_point_delay_honours_the_deadline_on_worker_threads() {
+    let _guard = chaos::test_lock();
+    chaos::disarm_all();
+    let mut def = SystemDef::new("pair");
+    def.add_component(BcDef::new("a", Dist::exp(0.01), Dist::exp(1.0)));
+    def.add_component(BcDef::new("b", Dist::exp(0.02), Dist::exp(2.0)));
+    def.add_repair_unit(RuDef::new("r", ["a", "b"], RepairStrategy::Fcfs));
+    def.set_system_down(Expr::and([Expr::down("a"), Expr::down("b")]));
+    def.add_param("lambda_a", 0.01);
+    let session = Session::new(&def)
+        .expect("session")
+        .with_options(EngineOptions::new().with_threads(2));
+    let measures = [Measure::SteadyStateUnavailability];
+    let grid = ParamGrid::cartesian([("lambda_a", vec![0.01, 0.02])]);
+    session.prefetch_measures(&measures).expect("warm build");
+
+    chaos::arm("session.sweep_point", Action::Delay(10_000), Some(1));
+    let deadline = Arc::new(Budget::unlimited().with_deadline(Duration::from_millis(100)));
+    let started = Instant::now();
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        budget::scope(Some(deadline.clone()), || session.sweep(&measures, &grid))
+    }));
+    let elapsed = started.elapsed();
+    chaos::disarm_all();
+    assert!(
+        result.is_err(),
+        "the deadline must abort the sweep, got {result:?}"
+    );
+    assert!(deadline.tripped().is_some(), "the deadline never tripped");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "the sweep aborted only after {elapsed:?}"
+    );
 }

@@ -10,7 +10,7 @@ use arcade::expr::Expr;
 use arcade::model::SystemModel;
 use arcade_bench::bench;
 use bisim::pipeline::{reduce, ReduceOptions, Strategy};
-use ctmc::{measures, transient, Ctmc};
+use ctmc::{measures, transient, Ctmc, MeasureContext, TransientOptions};
 use ioimc::compose::parallel_all;
 
 /// A chain of n repairable components sharing one FCFS repair unit, failing
@@ -95,18 +95,31 @@ fn main() {
     // while the batched sweep carries a spread distribution, so the DTMC
     // step count is the honest hardware-independent metric.
     let grid: Vec<f64> = (1..=50).map(|k| f64::from(k) * 2.0).collect();
-    transient::reset_solver_counters();
     let scalar = bench("curve/transient-scalar-50pts", 5, || {
         grid.iter()
             .map(|&t| transient::transient(&chain500, t))
             .collect::<Vec<_>>()
     });
-    let scalar_steps = transient::dtmc_steps_performed() / 6; // warm-up + 5 iters
-    transient::reset_solver_counters();
     let batched = bench("curve/transient-batched-50pts", 5, || {
         transient::transient_many(&chain500, &grid)
     });
-    let batched_steps = transient::dtmc_steps_performed() / 6;
+    // Step counts from one counted (untimed) run of each side.
+    let steps = |grids: Vec<&[f64]>| {
+        let ctx = MeasureContext::new();
+        let pi0 = chain500.initial_distribution();
+        for g in grids {
+            transient::transient_many_from_ctx(
+                &chain500,
+                &pi0,
+                g,
+                &TransientOptions::default(),
+                &ctx,
+            );
+        }
+        ctx.counters.dtmc_steps()
+    };
+    let scalar_steps = steps(grid.chunks(1).collect());
+    let batched_steps = steps(vec![&grid]);
     println!(
         "curve: {:.1}x wall, {:.1}x fewer DTMC steps ({batched_steps} vs {scalar_steps}) \
          for the batched sweep",

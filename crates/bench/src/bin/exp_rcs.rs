@@ -31,13 +31,13 @@ fn main() {
             m.components.len().to_string(),
             format!(
                 "{} st / {} tr",
-                m.report.ctmc_stats().states,
-                m.report.ctmc_stats().transitions()
+                m.availability().ctmc_stats.states,
+                m.availability().ctmc_stats.transitions()
             ),
             format!(
                 "{} st / {} tr",
-                m.report.largest_intermediate().states,
-                m.report.largest_intermediate().transitions()
+                m.availability().largest_intermediate.states,
+                m.availability().largest_intermediate.transitions()
             ),
         ]);
     }

@@ -62,8 +62,8 @@ use arcade::modular::modular_analysis;
 use arcade::query::{Measure, ParamGrid, Session};
 use arcade_bench::Table;
 use ctmc::measures::state_mass;
-use ctmc::transient::{dtmc_steps_performed, reset_solver_counters, transient_many_with};
-use ctmc::{steady, SolverOptions, TransientOptions};
+use ctmc::transient::transient_many_from_ctx;
+use ctmc::{steady, Ctmc, MeasureContext, SolverOptions, TransientOptions};
 
 /// One transient-grid measurement for the machine-readable output.
 struct TransientRecord {
@@ -578,6 +578,14 @@ fn sweep(
     )
 }
 
+/// One batched grid solve from the initial state on a context of its
+/// own, with the DTMC steps it took.
+fn counted_grid(ctmc: &Ctmc, grid: &[f64], opts: &TransientOptions) -> (Vec<Vec<f64>>, u64) {
+    let ctx = MeasureContext::new();
+    let curve = transient_many_from_ctx(ctmc, &ctmc.initial_distribution(), grid, opts, &ctx);
+    (curve, ctx.counters.dtmc_steps())
+}
+
 /// Sup-norm distance between two grids of distributions.
 fn grid_sup_diff(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
     a.iter()
@@ -654,11 +662,9 @@ fn solve(
     let mut adaptive_steps = 0u64;
     for &th in transient_threads {
         let topts = TransientOptions::default().with_threads(th);
-        reset_solver_counters();
         let start = Instant::now();
-        let curve = transient_many_with(ctmc, &grid, &topts);
+        let (curve, steps) = counted_grid(ctmc, &grid, &topts);
         let grid_secs = start.elapsed().as_secs_f64();
-        let steps = dtmc_steps_performed();
         push_record(&topts, "adaptive", grid_secs, steps);
         if reference.is_none() {
             adaptive_steps = steps;
@@ -700,11 +706,9 @@ fn solve(
     // the same serial grid. The agreement gate is the adaptive engine's
     // regression check; the wall-clock and step ratios are its win.
     let exact_opts = TransientOptions::default().with_adaptive(false);
-    reset_solver_counters();
     let start = Instant::now();
-    let exact_curve = transient_many_with(ctmc, &grid, &exact_opts);
+    let (exact_curve, exact_steps) = counted_grid(ctmc, &grid, &exact_opts);
     let exact_secs = start.elapsed().as_secs_f64();
-    let exact_steps = dtmc_steps_performed();
     push_record(&exact_opts, "exact", exact_secs, exact_steps);
     let adaptive_diff = grid_sup_diff(base_curve, &exact_curve);
     assert!(
@@ -722,11 +726,9 @@ fn solve(
     // Detection ablation: the same serial grid with steady-state
     // detection off measures the DTMC steps the detector saves.
     let no_detect = TransientOptions::default().with_steady_tol(0.0);
-    reset_solver_counters();
     let start = Instant::now();
-    let undetected = transient_many_with(ctmc, &grid, &no_detect);
+    let (undetected, ablation_steps) = counted_grid(ctmc, &grid, &no_detect);
     let ablation_secs = start.elapsed().as_secs_f64();
-    let ablation_steps = dtmc_steps_performed();
     push_record(&no_detect, "adaptive", ablation_secs, ablation_steps);
     let max_diff = grid_sup_diff(base_curve, &undetected);
     assert!(

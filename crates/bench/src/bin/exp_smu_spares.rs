@@ -49,15 +49,25 @@ fn main() {
                 continue;
             }
             let def = processors(n, failover.clone());
-            let report = Analysis::new(&def).expect("valid").run().expect("analysis");
+            let session = Session::new(&def).expect("valid");
             table.row(&[
                 n.to_string(),
                 failover
                     .as_ref()
                     .map_or("instant".to_owned(), ToString::to_string),
-                format!("{:.3e}", report.steady_state_unavailability()),
-                format!("{:.3e}", report.mttf()),
-                report.ctmc_stats().states.to_string(),
+                format!(
+                    "{:.3e}",
+                    session
+                        .value(&Measure::SteadyStateUnavailability)
+                        .expect("analysis")
+                ),
+                format!("{:.3e}", session.value(&Measure::Mttf).expect("analysis")),
+                session
+                    .availability_model()
+                    .expect("analysis")
+                    .ctmc_stats
+                    .states
+                    .to_string(),
             ]);
         }
     }

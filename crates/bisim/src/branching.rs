@@ -39,7 +39,8 @@ pub fn refine_branching(imc: &IoImc, initial: Partition) -> (Partition, Vec<Sign
 /// [`refine_branching`] with the per-state signature computation spread
 /// over `threads` scoped workers.
 ///
-/// Implemented by the worklist/splitter refiner (see [`crate::worklist`]).
+/// Implemented by the worklist/splitter refiner (the internal `worklist`
+/// module; see the [crate docs](crate)).
 /// A state's branching signature reads the signatures of its inert tau
 /// successors, so dirty states are scheduled by *tau depth*: layer 0 holds
 /// the tau-sinks (the overwhelming majority after the SCC collapse), layer

@@ -20,10 +20,10 @@
 //! # The worklist refiner
 //!
 //! Both refiners are implemented by a single splitter-driven worklist loop
-//! ([`worklist`], internal). The first round signs every state; afterwards
-//! only *dirty* states are re-signed: the states moved by the previous
-//! round's splits plus their predecessors (over all transitions, via the
-//! transposed CSR from [`ioimc::IoImc::incoming`]), closed under
+//! (the internal `worklist` module). The first round signs every state;
+//! afterwards only *dirty* states are re-signed: the states moved by the
+//! previous round's splits plus their predecessors (over all transitions,
+//! via the transposed CSR from [`ioimc::IoImc::incoming`]), closed under
 //! tau-predecessors for branching signatures (which embed the signatures of
 //! inert successors). Splits use a retained-id discipline — the sub-block
 //! containing a block's first member keeps the block's id — so signature

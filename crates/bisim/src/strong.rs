@@ -18,7 +18,8 @@ use crate::signature::{canonicalize, push_rate_entries, SigEntry, Signature};
 /// Refines `initial` to the coarsest strong-bisimulation partition of
 /// `imc`, returning the partition and the fixpoint signature of each state.
 ///
-/// Implemented by the worklist/splitter refiner (see [`crate::worklist`]):
+/// Implemented by the worklist/splitter refiner (the internal `worklist`
+/// module; see the [crate docs](crate)):
 /// only states whose signature can have changed since the last round are
 /// re-signed. The result — partition numbering and signatures — is
 /// identical to [`refine_strong_legacy`].

@@ -1,17 +1,14 @@
 //! Per-analysis measurement context: a Poisson weight memo plus solver
 //! work counters scoped to one analysis session.
 //!
-//! The transient engines keep process-wide instrumentation counters
-//! ([`crate::transient::dtmc_steps_performed`]) for benchmarks, but a
-//! server hosting several concurrent sessions needs counters that cannot
-//! cross-contaminate: two sessions solving at the same time must each see
-//! only their own work. A [`MeasureContext`] bundles the session-scoped
-//! [`SolveCounters`] with the session's [`PoissonCache`]; the `_ctx`
-//! entry points ([`crate::transient::transient_many_from_ctx`],
+//! A [`MeasureContext`] bundles the session-scoped [`SolveCounters`] with
+//! the session's [`PoissonCache`]. The `_ctx` entry points
+//! ([`crate::transient::transient_many_from_ctx`],
 //! [`crate::csl::until_bounded_ctx`],
 //! [`crate::csl::interval_down_fraction_ctx`]) thread both through the
-//! grid solver, which bumps the per-context counters *in addition to*
-//! the process-wide ones.
+//! grid solver. Its counters are the only count of transient solver
+//! work: solves made without a context are counted nowhere, and two
+//! sessions solving at the same time each see only their own work.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -125,7 +125,7 @@ pub fn until_bounded_with(
     opts: &TransientOptions,
     cache: &PoissonCache,
 ) -> f64 {
-    until_bounded_inner(ctmc, phi, psi, t, |transformed, pi0| {
+    until_bounded_inner(ctmc, phi, psi, |transformed, pi0| {
         transient_many_from_cached(transformed, pi0, &[t], opts, cache)
     })
 }
@@ -146,7 +146,7 @@ pub fn until_bounded_ctx(
     opts: &TransientOptions,
     ctx: &MeasureContext,
 ) -> f64 {
-    until_bounded_inner(ctmc, phi, psi, t, |transformed, pi0| {
+    until_bounded_inner(ctmc, phi, psi, |transformed, pi0| {
         transient_many_from_ctx(transformed, pi0, &[t], opts, ctx)
     })
 }
@@ -155,7 +155,6 @@ fn until_bounded_inner(
     ctmc: &Ctmc,
     phi: &StateFormula,
     psi: &StateFormula,
-    _t: f64,
     solve: impl FnOnce(&Ctmc, &[f64]) -> Vec<Vec<f64>>,
 ) -> f64 {
     let absorbing: Vec<u32> = (0..ctmc.num_states() as u32)
@@ -246,7 +245,7 @@ pub fn interval_down_fraction_with(
     opts: &TransientOptions,
     cache: &PoissonCache,
 ) -> f64 {
-    interval_down_fraction_inner(ctmc, phi, t, opts, cache, None)
+    interval_down_fraction_inner(ctmc, phi, t, opts, cache, &SolveCounters::new())
 }
 
 /// [`interval_down_fraction_with`] driven through a [`MeasureContext`]
@@ -262,7 +261,7 @@ pub fn interval_down_fraction_ctx(
     opts: &TransientOptions,
     ctx: &MeasureContext,
 ) -> f64 {
-    interval_down_fraction_inner(ctmc, phi, t, opts, &ctx.poisson, Some(&ctx.counters))
+    interval_down_fraction_inner(ctmc, phi, t, opts, &ctx.poisson, &ctx.counters)
 }
 
 fn interval_down_fraction_inner(
@@ -271,7 +270,7 @@ fn interval_down_fraction_inner(
     t: f64,
     opts: &TransientOptions,
     cache: &PoissonCache,
-    counters: Option<&SolveCounters>,
+    counters: &SolveCounters,
 ) -> f64 {
     assert!(
         t.is_finite() && t > 0.0,
@@ -292,10 +291,7 @@ fn interval_down_fraction_inner(
     // PoissonCache amortize the stepping engine (prescaled transposed
     // CSR) and the weight vectors across all chunks.
     const CHUNK: usize = 64;
-    let mut solver = GridSolver::new(ctmc, opts, cache);
-    if let Some(c) = counters {
-        solver = solver.with_counters(c);
-    }
+    let mut solver = GridSolver::new(ctmc, opts, cache, counters);
     let mut k = 1usize;
     while k <= steps {
         let m = CHUNK.min(steps - k + 1);

@@ -57,7 +57,7 @@ const EXACT_RESCUE_LIMIT: usize = 2048;
 /// 6-state chain — restarts stopped moving while the answer was off by
 /// 1e-4). A converged sweep lands at residual ~1e-15; an uncertified
 /// one sits orders of magnitude higher, and chains up to
-/// [`EXACT_RESCUE_LIMIT`] states are then re-solved exactly.
+/// `EXACT_RESCUE_LIMIT` (2,048) states are then re-solved exactly.
 pub fn steady_state_with(ctmc: &Ctmc, opts: &SolverOptions) -> Vec<f64> {
     let n = ctmc.num_states();
     if n == 1 {

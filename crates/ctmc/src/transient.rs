@@ -113,68 +113,13 @@
 //! `O(Λ·Σtᵢ)` cost of the scalar loop into `O(Λ·max tᵢ)` — and less than
 //! that once steady-state detection kicks in.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
 
 use crate::chain::Ctmc;
 use crate::context::{MeasureContext, SolveCounters};
 use crate::poisson::{PoissonCache, PoissonWeights};
 use crate::solver::{TransientOptions, UNIF_HEADROOM};
-
-/// Instrumentation: DTMC matrix-vector products performed process-wide
-/// (see [`dtmc_steps_performed`]). A sharded step counts once — it is one
-/// matrix-vector product no matter how many workers computed it.
-static DTMC_STEPS: AtomicU64 = AtomicU64::new(0);
-/// Instrumentation: uniformization sweeps started process-wide.
-static SWEEPS: AtomicU64 = AtomicU64::new(0);
-
-/// Total DTMC matrix-vector products performed **process-wide** since the
-/// last [`reset_solver_counters`]. One product is the unit of transient
-/// solver work, so batching and steady-state-detection wins show up
-/// directly in this counter; it exists for benchmarks and regression
-/// tests, not for control flow.
-///
-/// The counters are atomics so sweeps running on worker threads (sharded
-/// steps, parallel `Session` prefetches, modular analyses) are neither
-/// lost nor raced; tests that assert on deltas must serialize against
-/// other counter-touching tests in the same process.
-pub fn dtmc_steps_performed() -> u64 {
-    DTMC_STEPS.load(Ordering::Relaxed)
-}
-
-/// Total uniformization sweeps (scalar solves or batched grid segments)
-/// started process-wide since the last [`reset_solver_counters`].
-pub fn sweeps_performed() -> u64 {
-    SWEEPS.load(Ordering::Relaxed)
-}
-
-/// Resets the process-wide [`dtmc_steps_performed`]/[`sweeps_performed`]
-/// counters to zero.
-pub fn reset_solver_counters() {
-    DTMC_STEPS.store(0, Ordering::Relaxed);
-    SWEEPS.store(0, Ordering::Relaxed);
-}
-
-/// Records one uniformization sweep: always on the process-wide counter,
-/// and additionally on the per-context sink when one is threaded through
-/// (the `_ctx` entry points).
-#[inline]
-fn count_sweep(sink: Option<&SolveCounters>) {
-    SWEEPS.fetch_add(1, Ordering::Relaxed);
-    if let Some(c) = sink {
-        c.count_sweep();
-    }
-}
-
-/// Records one DTMC matrix-vector product (process-wide plus the optional
-/// per-context sink).
-#[inline]
-fn count_step(sink: Option<&SolveCounters>) {
-    DTMC_STEPS.fetch_add(1, Ordering::Relaxed);
-    if let Some(c) = sink {
-        c.count_step();
-    }
-}
 
 /// Computes the state distribution at time `t` starting from the chain's
 /// initial state.
@@ -293,10 +238,9 @@ pub fn transient_many_from_cached(
 /// [`transient_many_from_cached`] driven through a full
 /// [`MeasureContext`]: the context's Poisson memo answers the weight
 /// lookups and the context's [`SolveCounters`] record the sweeps and
-/// DTMC steps this solve performs — in addition to (never instead of)
-/// the process-wide instrumentation counters. This is the entry point
-/// for hosts running several analysis sessions in one process, where
-/// the process-wide counters cross-contaminate.
+/// DTMC steps this solve performs. This is the only entry point whose
+/// solver work is counted: the counters are scoped to the context, so
+/// several analysis sessions in one process never see each other's work.
 ///
 /// # Panics
 ///
@@ -309,12 +253,11 @@ pub fn transient_many_from_ctx(
     opts: &TransientOptions,
     ctx: &MeasureContext,
 ) -> Vec<Vec<f64>> {
-    GridSolver::new(ctmc, opts, &ctx.poisson)
-        .with_counters(&ctx.counters)
-        .solve_from(pi0, ts)
+    GridSolver::new(ctmc, opts, &ctx.poisson, &ctx.counters).solve_from(pi0, ts)
 }
 
-/// The shared grid driver: one [`GridSolver`] per call.
+/// The grid solve behind the context-free entry points: one
+/// [`GridSolver`] per call, its work counted nowhere.
 fn grid_solve(
     ctmc: &Ctmc,
     pi0: &[f64],
@@ -330,7 +273,7 @@ fn grid_solve(
             &local_cache
         }
     };
-    GridSolver::new(ctmc, opts, cache).solve_from(pi0, ts)
+    GridSolver::new(ctmc, opts, cache, &SolveCounters::new()).solve_from(pi0, ts)
 }
 
 /// A reusable grid driver over one chain: validates inputs, visits each
@@ -349,8 +292,8 @@ pub(crate) struct GridSolver<'a> {
     ctmc: &'a Ctmc,
     opts: &'a TransientOptions,
     cache: &'a PoissonCache,
-    /// Per-context counter sink; the process-wide statics are always fed.
-    counters: Option<&'a SolveCounters>,
+    /// Where the sweeps and DTMC steps of this solver are counted.
+    counters: &'a SolveCounters,
     stepper: Option<Stepper>,
     adaptive: Option<AdaptiveEngine>,
     max_exit: f64,
@@ -359,25 +302,24 @@ pub(crate) struct GridSolver<'a> {
 }
 
 impl<'a> GridSolver<'a> {
-    pub(crate) fn new(ctmc: &'a Ctmc, opts: &'a TransientOptions, cache: &'a PoissonCache) -> Self {
+    pub(crate) fn new(
+        ctmc: &'a Ctmc,
+        opts: &'a TransientOptions,
+        cache: &'a PoissonCache,
+        counters: &'a SolveCounters,
+    ) -> Self {
         let max_exit = ctmc.max_exit_rate();
         Self {
             ctmc,
             opts,
             cache,
-            counters: None,
+            counters,
             stepper: None,
             adaptive: None,
             max_exit,
             unif: max_exit * UNIF_HEADROOM,
             converged: false,
         }
-    }
-
-    /// Routes this solver's work counts into a per-context sink as well.
-    pub(crate) fn with_counters(mut self, counters: &'a SolveCounters) -> Self {
-        self.counters = Some(counters);
-        self
     }
 
     pub(crate) fn solve_from(&mut self, pi0: &[f64], ts: &[f64]) -> Vec<Vec<f64>> {
@@ -412,7 +354,7 @@ impl<'a> GridSolver<'a> {
                     .stepper
                     .get_or_insert_with(|| Stepper::new(ctmc, unif, opts));
                 let pw = self.cache.get(self.unif * dt);
-                count_sweep(self.counters);
+                self.counters.count_sweep();
                 let (res, conv) = st.sweep(&cur, &pw, self.opts.steady_tol, self.counters);
                 cur = res;
                 cur_t = ts[i];
@@ -584,7 +526,7 @@ impl Stepper {
         pi0: &[f64],
         pw: &PoissonWeights,
         tol: f64,
-        counters: Option<&SolveCounters>,
+        counters: &SolveCounters,
     ) -> (Vec<f64>, bool) {
         if self.shards.len() <= 1 {
             self.sweep_serial(pi0, pw, tol, counters)
@@ -598,7 +540,7 @@ impl Stepper {
         pi0: &[f64],
         pw: &PoissonWeights,
         tol: f64,
-        counters: Option<&SolveCounters>,
+        counters: &SolveCounters,
     ) -> (Vec<f64>, bool) {
         let n = self.n;
         let total = pw.total_steps();
@@ -626,7 +568,7 @@ impl Stepper {
             if step & 0x3FF == 0 {
                 ioimc::budget::checkpoint();
             }
-            count_step(counters);
+            counters.count_step();
             let mut delta = 0.0f64;
             for i in 0..n {
                 let v = self.row_value(&cur, i);
@@ -663,7 +605,7 @@ impl Stepper {
         pi0: &[f64],
         pw: &PoissonWeights,
         tol: f64,
-        counters: Option<&SolveCounters>,
+        counters: &SolveCounters,
     ) -> (Vec<f64>, bool) {
         let nshards = self.shards.len();
         let total = pw.total_steps();
@@ -722,7 +664,7 @@ impl Stepper {
                         cur_g[r.clone()]
                             .copy_from_slice(&outs[s].lock().expect("no poisoned shard"));
                     }
-                    count_step(counters);
+                    counters.count_step();
                     let delta = deltas
                         .iter()
                         .fold(0.0f64, |a, d| a.max(*d.lock().expect("no poisoned shard")));
@@ -1070,7 +1012,7 @@ impl AdaptiveEngine {
         dt: f64,
         cache: &PoissonCache,
         opts: &TransientOptions,
-        counters: Option<&SolveCounters>,
+        counters: &SolveCounters,
     ) -> bool {
         let op = &self.op;
         // Trailing-support shrink: zero whole top levels while their
@@ -1132,7 +1074,7 @@ impl AdaptiveEngine {
         let snapshot = self.cur.clone();
         // One sweep per segment; Λ restarts are internal retries of the
         // same sweep, not additional solver work units.
-        count_sweep(counters);
+        counters.count_sweep();
         loop {
             // Before each sweep (including Λ-escalation retries) the gang
             // is parked, so a budget unwind here cannot strand a worker
@@ -1180,7 +1122,7 @@ impl AdaptiveEngine {
         lambda: f64,
         pw: &PoissonWeights,
         opts: &TransientOptions,
-        counters: Option<&SolveCounters>,
+        counters: &SolveCounters,
     ) -> SweepOutcome {
         // Quarter of the budget for each in-sweep truncation channel
         // (frozen-frontier escape, capped inflow), spread over the steps.
@@ -1212,7 +1154,7 @@ impl AdaptiveEngine {
         opts: &TransientOptions,
         st: &mut SegmentCtrl,
         step_budget: f64,
-        counters: Option<&SolveCounters>,
+        counters: &SolveCounters,
     ) -> SweepOutcome {
         let op = &self.op;
         let n = op.n;
@@ -1237,7 +1179,7 @@ impl AdaptiveEngine {
                 ioimc::budget::checkpoint();
             }
             hi = st.expand(op, &cur, lambda, step_budget);
-            count_step(counters);
+            counters.count_step();
             let mut delta = 0.0f64;
             for i in 0..hi {
                 let v = op.row_value(&cur, i, inv_l, hi);
@@ -1278,7 +1220,7 @@ impl AdaptiveEngine {
         opts: &TransientOptions,
         st_outer: &mut SegmentCtrl,
         step_budget: f64,
-        counters: Option<&SolveCounters>,
+        counters: &SolveCounters,
     ) -> SweepOutcome {
         let op = &self.op;
         let n = op.n;
@@ -1324,7 +1266,7 @@ impl AdaptiveEngine {
                     } else {
                         let hi = st.expand(op, &cur_g, lambda, step_budget);
                         hi_shared.store(hi, Ordering::Relaxed);
-                        count_step(counters);
+                        counters.count_step();
                     }
                 }
                 barrier.wait();
@@ -1762,7 +1704,7 @@ mod tests {
             for &i in &order {
                 let dt = ts[i] - cur_t;
                 if dt > 0.0 && !converged {
-                    converged = engine.advance(dt, &cache, &opts, None);
+                    converged = engine.advance(dt, &cache, &opts, &SolveCounters::new());
                     cur_t = ts[i];
                 }
                 out[i] = engine.output();

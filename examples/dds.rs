@@ -50,7 +50,7 @@ fn main() -> Result<(), ArcadeError> {
             "  {}: {} components, CTMC {}",
             m.name,
             m.components.len(),
-            m.report.ctmc_stats()
+            m.availability().ctmc_stats
         );
     }
     Ok(())

@@ -35,29 +35,30 @@ fn build(pand: bool) -> SystemDef {
 fn main() -> Result<(), ArcadeError> {
     let t = 1000.0;
     println!("=== Priority-AND vs AND (paper footnote 8) ===");
-    let and_report = Analysis::new(&build(false))?.run()?;
-    let pand_report = Analysis::new(&build(true))?.run()?;
+    let and_session = Session::new(&build(false))?;
+    let pand_session = Session::new(&build(true))?;
 
     println!(
         "{:<6} {:>16} {:>16} {:>14}",
         "gate", "unrel w/ repair", "unavailability", "MTTF (h)"
     );
-    for (name, r) in [("AND", &and_report), ("PAND", &pand_report)] {
+    for (name, r) in [("AND", &and_session), ("PAND", &pand_session)] {
         println!(
             "{:<6} {:>16.6e} {:>16.6e} {:>14.0}",
             name,
-            r.unreliability_with_repair(t),
-            r.steady_state_unavailability(),
-            r.mttf()
+            r.value(&Measure::UnreliabilityWithRepair(t))?,
+            r.value(&Measure::SteadyStateUnavailability)?,
+            r.value(&Measure::Mttf)?
         );
     }
     // Both components down happens either order; fan-then-cpu is one of the
     // two orders, so the PAND events are a strict subset of the AND events.
     assert!(
-        pand_report.unreliability_with_repair(t) < and_report.unreliability_with_repair(t),
+        pand_session.value(&Measure::UnreliabilityWithRepair(t))?
+            < and_session.value(&Measure::UnreliabilityWithRepair(t))?,
         "PAND must be rarer than AND"
     );
-    assert!(pand_report.mttf() > and_report.mttf());
+    assert!(pand_session.value(&Measure::Mttf)? > and_session.value(&Measure::Mttf)?);
 
     println!();
     println!("=== CSL-style queries (paper §6 future work) ===");
@@ -66,17 +67,25 @@ fn main() -> Result<(), ArcadeError> {
     for &h in &[100.0, 1000.0] {
         println!(
             "P[ up U<={h} down ]      = {:.6e}   (first dangerous-order failure)",
-            pand_report.until_bounded(&up, &down, h)
+            pand_session.value(&Measure::BoundedUntil {
+                phi: up.clone(),
+                psi: down.clone(),
+                t: h
+            })?
         );
         println!(
             "interval availability({h}) = {:.10}",
-            pand_report.interval_availability(h)
+            pand_session.value(&Measure::IntervalAvailability(h))?
         );
     }
     // consistency: P[up U<=t down] from the initial (up) state equals the
     // first-passage unreliability
-    let q = pand_report.until_bounded(&up, &down, t);
-    let fp = pand_report.unreliability_with_repair(t);
+    let q = pand_session.value(&Measure::BoundedUntil {
+        phi: up.clone(),
+        psi: down.clone(),
+        t,
+    })?;
+    let fp = pand_session.value(&Measure::UnreliabilityWithRepair(t))?;
     assert!(
         (q - fp).abs() < 1e-12,
         "CSL until vs first passage: {q} vs {fp}"

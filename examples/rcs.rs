@@ -26,10 +26,10 @@ fn main() -> Result<(), ArcadeError> {
             m.components.len(),
             m.components.join(", ")
         );
-        println!("  CTMC: {}", m.report.ctmc_stats());
+        println!("  CTMC: {}", m.availability().ctmc_stats);
         println!(
             "  largest intermediate I/O-IMC: {}",
-            m.report.largest_intermediate()
+            m.availability().largest_intermediate
         );
     }
     println!();

@@ -68,14 +68,14 @@ fn main() -> Result<(), ArcadeError> {
             .filter(|b| b.name.contains("rep") || b.name == "shop")
             .map(|b| b.imc.num_states())
             .sum();
-        let report = Analysis::new(&def)?.run()?;
+        let session = Session::new(&def)?;
         println!(
             "{:<12} {:>14.6e} {:>12.1} {:>10} {:>12}",
             name,
-            report.steady_state_unavailability(),
-            report.mttf(),
+            session.value(&Measure::SteadyStateUnavailability)?,
+            session.value(&Measure::Mttf)?,
             ru_states,
-            report.ctmc_stats().states,
+            session.availability_model()?.ctmc_stats.states,
         );
     }
     println!();

@@ -42,20 +42,20 @@ fn main() -> Result<(), ArcadeError> {
         "failover", "unreliability", "MTTF (h)"
     );
 
-    let instant = Analysis::new(&build(None))?.run()?;
+    let instant = Session::new(&build(None))?;
     println!(
         "{:<22} {:>14.6e} {:>14.1}",
         "instantaneous (Fig. 8)",
-        instant.unreliability_with_repair(t),
-        instant.mttf()
+        instant.value(&Measure::UnreliabilityWithRepair(t))?,
+        instant.value(&Measure::Mttf)?
     );
     for &delta in &[100.0, 10.0, 1.0, 0.1] {
-        let report = Analysis::new(&build(Some(Dist::exp(delta))))?.run()?;
+        let session = Session::new(&build(Some(Dist::exp(delta))))?;
         println!(
             "{:<22} {:>14.6e} {:>14.1}",
             format!("exp({delta}) (Fig. 9)"),
-            report.unreliability_with_repair(t),
-            report.mttf()
+            session.value(&Measure::UnreliabilityWithRepair(t))?,
+            session.value(&Measure::Mttf)?
         );
     }
     println!();
@@ -68,8 +68,10 @@ fn main() -> Result<(), ArcadeError> {
 
     // Convergence check: a very fast failover must match the instantaneous
     // SMU closely.
-    let fast = Analysis::new(&build(Some(Dist::exp(1e5))))?.run()?;
-    let gap = (fast.unreliability_with_repair(t) - instant.unreliability_with_repair(t)).abs();
+    let fast = Session::new(&build(Some(Dist::exp(1e5))))?;
+    let gap = (fast.value(&Measure::UnreliabilityWithRepair(t))?
+        - instant.value(&Measure::UnreliabilityWithRepair(t))?)
+    .abs();
     assert!(
         gap < 1e-5,
         "fast failover should converge to instantaneous, gap {gap}"

@@ -65,20 +65,23 @@ fn main() -> Result<(), ArcadeError> {
     );
     println!();
 
-    let report = Analysis::new(&def)?.run()?;
-    println!("final CTMC: {}", report.ctmc_stats());
+    let session = Session::new(&def)?;
+    println!("final CTMC: {}", session.availability_model()?.ctmc_stats);
     println!(
         "steady-state unavailability: {:.6e}",
-        report.steady_state_unavailability()
+        session.value(&Measure::SteadyStateUnavailability)?
     );
     println!(
         "R(1000 h) without repair:    {:.6}",
-        report.reliability(1000.0)
+        session.value(&Measure::Reliability(1000.0))?
     );
-    println!("MTTF:                        {:.0} h", report.mttf());
+    println!(
+        "MTTF:                        {:.0} h",
+        session.value(&Measure::Mttf)?
+    );
 
     // The controller dies with the PSU (destructive FDEP), so the system
     // MTTF must be noticeably below the controller-only MTTF of 4000 h.
-    assert!(report.mttf() < 4000.0);
+    assert!(session.value(&Measure::Mttf)? < 4000.0);
     Ok(())
 }

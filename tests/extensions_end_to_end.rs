@@ -17,9 +17,9 @@ fn pand_no_repair_closed_form() {
     def.add_component(BcDef::new("fan", Dist::exp(f), Dist::exp(1.0)));
     def.add_component(BcDef::new("cpu", Dist::exp(c), Dist::exp(1.0)));
     def.set_system_down(Expr::pand([Expr::down("fan"), Expr::down("cpu")]));
-    let report = Analysis::new(&def).unwrap().run().unwrap();
+    let session = Session::new(&def).unwrap();
     let t = 400.0;
-    let got = report.unreliability(t);
+    let got = session.value(&Measure::Unreliability(t)).unwrap();
     let expected = (1.0 - (-c * t).exp()) - c / (c + f) * (1.0 - (-(c + f) * t).exp());
     assert!(
         (got - expected).abs() < 1e-10,
@@ -28,8 +28,8 @@ fn pand_no_repair_closed_form() {
     // the AND variant is strictly more likely
     let mut and_def = def.clone();
     and_def.set_system_down(Expr::and([Expr::down("fan"), Expr::down("cpu")]));
-    let and_report = Analysis::new(&and_def).unwrap().run().unwrap();
-    assert!(and_report.unreliability(t) > got);
+    let and_report = Session::new(&and_def).unwrap();
+    assert!(and_report.value(&Measure::Unreliability(t)).unwrap() > got);
 }
 
 /// PAND over three components: the probability that three exponentials
@@ -46,11 +46,11 @@ fn pand_three_way_ordering_probability() {
         Expr::down("c1"),
         Expr::down("c2"),
     ]));
-    let report = Analysis::new(&def).unwrap().run().unwrap();
+    let session = Session::new(&def).unwrap();
     // by t -> infinity every component has failed; the PAND fired iff the
     // order was c0 < c1 < c2
     let t = 5000.0;
-    let got = report.unreliability(t);
+    let got = session.value(&Measure::Unreliability(t)).unwrap();
     let total: f64 = rates.iter().sum();
     let expected = rates[0] / total * (rates[1] / (rates[1] + rates[2]));
     assert!(
@@ -78,13 +78,19 @@ fn failover_converges_monotonically() {
         }
         def.add_smu(smu);
         def.set_system_down(Expr::and([Expr::down("pp"), Expr::down("ps")]));
-        Analysis::new(&def).unwrap().run().unwrap()
+        Session::new(&def).unwrap()
     };
     let t = 200.0;
-    let instant = build(None).unreliability_with_repair(t);
-    let mut last = build(Some(Dist::exp(0.5))).unreliability_with_repair(t);
+    let instant = build(None)
+        .value(&Measure::UnreliabilityWithRepair(t))
+        .unwrap();
+    let mut last = build(Some(Dist::exp(0.5)))
+        .value(&Measure::UnreliabilityWithRepair(t))
+        .unwrap();
     for rate in [2.0, 10.0, 100.0] {
-        let cur = build(Some(Dist::exp(rate))).unreliability_with_repair(t);
+        let cur = build(Some(Dist::exp(rate)))
+            .value(&Measure::UnreliabilityWithRepair(t))
+            .unwrap();
         assert!(
             cur >= last - 1e-12,
             "cold-spare exposure grows with failover rate: {cur} < {last}"
@@ -104,17 +110,23 @@ fn csl_consistency_on_repairable_pair() {
     def.add_repair_unit(RuDef::new("ra", ["a"], RepairStrategy::Dedicated));
     def.add_repair_unit(RuDef::new("rb", ["b"], RepairStrategy::Dedicated));
     def.set_system_down(Expr::and([Expr::down("a"), Expr::down("b")]));
-    let report = Analysis::new(&def).unwrap().run().unwrap();
+    let session = Session::new(&def).unwrap();
     let t = 30.0;
     let up = StateFormula::up();
     let down = StateFormula::down();
     // until from an up state == first passage
-    let q = report.until_bounded(&up, &down, t);
-    assert!((q - report.unreliability_with_repair(t)).abs() < 1e-12);
+    let q = session
+        .value(&Measure::BoundedUntil {
+            phi: up.clone(),
+            psi: down.clone(),
+            t,
+        })
+        .unwrap();
+    assert!((q - session.value(&Measure::UnreliabilityWithRepair(t)).unwrap()).abs() < 1e-12);
     // interval availability lies between the point availability at t and 1
-    let ia = report.interval_availability(t);
+    let ia = session.value(&Measure::IntervalAvailability(t)).unwrap();
     assert!(ia <= 1.0);
-    assert!(ia >= report.point_availability(t) - 1e-9);
+    assert!(ia >= session.value(&Measure::PointAvailability(t)).unwrap() - 1e-9);
 }
 
 /// PAND survives the textual round trip and the parser rejects misuse.

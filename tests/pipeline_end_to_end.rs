@@ -32,7 +32,7 @@ fn k_of_n_availability_closed_form() {
         k_fail,
         names.iter().map(|n| Expr::down(n.clone())),
     ));
-    let report = Analysis::new(&def).unwrap().run().unwrap();
+    let session = Session::new(&def).unwrap();
     // closed form: each unit independently down with prob u = λ/(λ+µ)
     let u = lambda / (lambda + mu);
     let p_down: f64 = (k_fail..=n as u32)
@@ -41,7 +41,7 @@ fn k_of_n_availability_closed_form() {
             binom(n, j) * u.powi(j) * (1.0 - u).powi(n - j)
         })
         .sum();
-    let got = report.steady_state_unavailability();
+    let got = session.value(&Measure::SteadyStateUnavailability).unwrap();
     assert!(
         (got - p_down).abs() / p_down < 1e-9,
         "engine {got}, closed form {p_down}"
@@ -74,16 +74,16 @@ fn engine_agrees_with_simulation() {
     def.add_smu(SmuDef::new("smu", "pp", ["ps"]));
     def.set_system_down(Expr::and([Expr::down("pp"), Expr::down("ps")]));
 
-    let report = Analysis::new(&def).unwrap().run().unwrap();
+    let session = Session::new(&def).unwrap();
     let t = 50.0;
-    let exact = report.unreliability(t);
+    let exact = session.value(&Measure::Unreliability(t)).unwrap();
     let mc = sim::simulate_unreliability(&def, t, 30_000, 42, false).unwrap();
     assert!(
         mc.contains(exact),
         "exact {exact} outside MC interval {mc:?}"
     );
 
-    let exact_fp = report.unreliability_with_repair(t);
+    let exact_fp = session.value(&Measure::UnreliabilityWithRepair(t)).unwrap();
     let mc_fp = sim::simulate_unreliability(&def, t, 100_000, 43, true).unwrap();
     assert!(
         mc_fp.contains(exact_fp),
@@ -100,13 +100,13 @@ fn erlang_component_end_to_end() {
     def.add_component(BcDef::new("p", Dist::erlang(3, 0.01), Dist::erlang(2, 0.1)));
     def.add_repair_unit(RuDef::new("rep", ["p"], RepairStrategy::Dedicated));
     def.set_system_down(Expr::down("p"));
-    let report = Analysis::new(&def).unwrap().run().unwrap();
+    let session = Session::new(&def).unwrap();
     let t = 250.0;
-    let got = report.unreliability(t);
+    let got = session.value(&Measure::Unreliability(t)).unwrap();
     let expected = Dist::erlang(3, 0.01).cdf(t);
     assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
     // availability: MTTF = 300, MTTR = 20 -> A = 300/320
-    let a = report.steady_state_availability();
+    let a = session.value(&Measure::SteadyStateAvailability).unwrap();
     assert!((a - 300.0 / 320.0).abs() < 1e-9, "availability {a}");
 }
 
@@ -125,13 +125,13 @@ fn load_sharing_closed_form() {
         );
     }
     def.set_system_down(Expr::and([Expr::down("a"), Expr::down("b")]));
-    let report = Analysis::new(&def).unwrap().run().unwrap();
+    let session = Session::new(&def).unwrap();
     // closed form: both up -> first failure at 2λ; then survivor fails at λ2:
     // R(t) = e^{-2λt} + 2λ/(λ2-2λ) (e^{-2λt} - e^{-λ2 t}) for λ2 != 2λ
     let t = 40.0;
     let r_closed =
         (-2.0 * l * t).exp() + 2.0 * l / (l2 - 2.0 * l) * ((-2.0 * l * t).exp() - (-l2 * t).exp());
-    let got = report.reliability(t);
+    let got = session.value(&Measure::Reliability(t)).unwrap();
     assert!((got - r_closed).abs() < 1e-9, "{got} vs {r_closed}");
 }
 
@@ -147,11 +147,11 @@ fn df_cascade_end_to_end() {
     def.add_repair_unit(RuDef::new("rf", ["fan"], RepairStrategy::Dedicated));
     def.add_repair_unit(RuDef::new("rc", ["cpu"], RepairStrategy::Dedicated));
     def.set_system_down(Expr::down("cpu"));
-    let report = Analysis::new(&def).unwrap().run().unwrap();
+    let session = Session::new(&def).unwrap();
     // no repair: cpu down by t if its own failure OR the fan's failure
     // fired: R(t) = e^{-(0.001+0.05)t}
     let t = 30.0;
-    let got = report.reliability(t);
+    let got = session.value(&Measure::Reliability(t)).unwrap();
     let expected = (-(0.051f64) * t).exp();
     assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
 }

@@ -4,22 +4,12 @@
 //! while agreeing with the scalar path to 1e-10 — checked on the DDS case
 //! study.
 
-use std::sync::Mutex;
-
 use arcade::build::observer::DOWN_BIT;
 use arcade::cases::dds::{dds_scaled, FIVE_WEEKS_H};
 use arcade::prelude::*;
-use ctmc::measures;
-use ctmc::transient::{dtmc_steps_performed, reset_solver_counters};
-
-/// The DTMC step counters are process-wide atomics, so every test in this
-/// binary serializes through this lock — a concurrent transient solve
-/// from a sibling test would otherwise leak steps into a measured window.
-static COUNTERS: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
-}
+use ctmc::measures::state_mass;
+use ctmc::transient::transient_many_from_ctx;
+use ctmc::{MeasureContext, TransientOptions};
 
 /// A 50-point unavailability + first-passage curve on the DDS case:
 /// exactly one aggregation (only the availability configuration is
@@ -27,7 +17,6 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 /// steps than the per-point scalar loop — with identical values.
 #[test]
 fn dds_curve_batched_is_5x_cheaper_and_agrees() {
-    let _g = lock();
     let def = dds_scaled(1);
     let session = Session::new(&def).expect("valid DDS");
     let grid: Vec<f64> = (1..=50)
@@ -39,9 +28,8 @@ fn dds_curve_batched_is_5x_cheaper_and_agrees() {
         .collect();
     batch.extend(grid.iter().map(|&t| Measure::UnreliabilityWithRepair(t)));
 
-    reset_solver_counters();
     let values = session.evaluate(&batch).expect("batched curve");
-    let batched_steps = dtmc_steps_performed();
+    let batched_steps = session.stats().dtmc_steps;
 
     // Laziness: both curves live on the availability configuration, so
     // exactly one aggregation ran; the absorbing-down chain was built
@@ -50,18 +38,22 @@ fn dds_curve_batched_is_5x_cheaper_and_agrees() {
     assert_eq!(session.stats().absorbing_built, 1);
 
     // The scalar loop: one independent transient solve per point and one
-    // absorbing transformation + solve per first-passage point.
+    // absorbing transformation + solve per first-passage point, counted
+    // on a context of its own.
     let ctmc = &session.availability_model().expect("built").ctmc;
-    reset_solver_counters();
-    let scalar_unavail: Vec<f64> = grid
-        .iter()
-        .map(|&t| measures::point_unavailability(ctmc, DOWN_BIT, t))
-        .collect();
+    let down: Vec<u32> = ctmc.states_with_label(DOWN_BIT).collect();
+    let ctx = MeasureContext::new();
+    let opts = TransientOptions::default();
+    let at = |chain: &ctmc::Ctmc, t: f64| {
+        let pi = transient_many_from_ctx(chain, &chain.initial_distribution(), &[t], &opts, &ctx);
+        state_mass(&down, &pi[0])
+    };
+    let scalar_unavail: Vec<f64> = grid.iter().map(|&t| at(ctmc, t)).collect();
     let scalar_fp: Vec<f64> = grid
         .iter()
-        .map(|&t| measures::unreliability(ctmc, DOWN_BIT, t))
+        .map(|&t| at(&ctmc.make_absorbing(down.iter().copied()), t))
         .collect();
-    let scalar_steps = dtmc_steps_performed();
+    let scalar_steps = ctx.counters.dtmc_steps();
 
     assert!(
         batched_steps * 5 <= scalar_steps,
@@ -82,50 +74,6 @@ fn dds_curve_batched_is_5x_cheaper_and_agrees() {
             scalar_fp[i]
         );
     }
-}
-
-/// The batched `Session` answers exactly what the eager `AnalysisReport`
-/// answers one measure at a time.
-#[test]
-fn session_batch_matches_analysis_report() {
-    let _g = lock();
-    let mut def = SystemDef::new("xcheck");
-    def.add_component(BcDef::new("pp", Dist::exp(0.02), Dist::exp(0.5)));
-    def.add_component(
-        BcDef::new("ps", Dist::exp(0.02), Dist::exp(0.5))
-            .with_om_group(OmGroup::ActiveInactive)
-            .with_ttf([Dist::exp(0.002), Dist::exp(0.02)]),
-    );
-    def.add_repair_unit(RuDef::new("rep", ["pp", "ps"], RepairStrategy::Fcfs));
-    def.add_smu(SmuDef::new("smu", "pp", ["ps"]));
-    def.set_system_down(Expr::and([Expr::down("pp"), Expr::down("ps")]));
-
-    let report = Analysis::new(&def).unwrap().run().unwrap();
-    let session = Session::new(&def).unwrap();
-    let ts = [1.0, 10.0, 50.0, 200.0];
-    let mut batch = vec![
-        Measure::SteadyStateAvailability,
-        Measure::SteadyStateUnavailability,
-        Measure::Mttf,
-    ];
-    for &t in &ts {
-        batch.push(Measure::PointUnavailability(t));
-        batch.push(Measure::Reliability(t));
-        batch.push(Measure::UnreliabilityWithRepair(t));
-    }
-    let values = session.evaluate(&batch).unwrap();
-    assert!((values[0] - report.steady_state_availability()).abs() < 1e-12);
-    assert!((values[1] - report.steady_state_unavailability()).abs() < 1e-12);
-    assert!((values[2] - report.mttf()).abs() < 1e-9);
-    for (i, &t) in ts.iter().enumerate() {
-        assert!((values[3 + 3 * i] - report.point_unavailability(t)).abs() < 1e-12);
-        assert!((values[4 + 3 * i] - report.reliability(t)).abs() < 1e-12);
-        assert!((values[5 + 3 * i] - report.unreliability_with_repair(t)).abs() < 1e-12);
-    }
-    // Both configurations were needed (reliability is a no-repair
-    // measure) and nothing was built twice.
-    assert_eq!(session.stats().aggregations_built, 2);
-    assert_eq!(session.stats().steady_solves, 1);
 }
 
 /// Unfailable systems answer the degenerate values through the batch

@@ -63,7 +63,7 @@ fn dds_exact_measures_lie_in_simulation_confidence_intervals() {
 
 /// RCS: no-repair unreliability at long horizons (where the failure
 /// probability is MC-sized), exact values from the modular analysis
-/// (each module a `Session`-backed report; the decomposition is exact
+/// (each module its own `Session`; the decomposition is exact
 /// for independent modules).
 #[test]
 fn rcs_exact_measures_lie_in_simulation_confidence_intervals() {
