@@ -472,7 +472,32 @@ mod tests {
     use crate::ast::{BcDef, RepairStrategy, RuDef, SystemDef};
     use crate::dist::Dist;
     use crate::expr::Expr;
-    use ctmc::measures;
+    use ctmc::measures::state_mass;
+    use ctmc::{MeasureContext, SolverOptions, TransientOptions};
+
+    /// Steady-state availability: the long-run mass off the down states.
+    fn availability(c: &Ctmc) -> f64 {
+        let down: Vec<u32> = c.states_with_label(1).collect();
+        let pi = ctmc::steady::steady_state_with(c, &SolverOptions::default());
+        1.0 - state_mass(&down, &pi)
+    }
+
+    /// Reliability `R(t)`: the down states made absorbing, one transient
+    /// solve, the mass not yet absorbed.
+    fn reliability(c: &Ctmc, t: f64) -> f64 {
+        let down: Vec<u32> = c.states_with_label(1).collect();
+        let a = c.make_absorbing(down.iter().copied());
+        let opts = TransientOptions::default();
+        let ctx = MeasureContext::new();
+        let pi = ctmc::transient::transient_many_from_ctx(
+            &a,
+            &a.initial_distribution(),
+            &[t],
+            &opts,
+            &ctx,
+        );
+        1.0 - state_mass(&down, &pi[0])
+    }
 
     /// One component with dedicated repair: the CTMC is the two-state
     /// machine with availability µ/(λ+µ).
@@ -485,7 +510,7 @@ mod tests {
         let model = SystemModel::build(&def).unwrap();
         let agg = aggregate(&model, &EngineOptions::new()).unwrap();
         assert_eq!(agg.ctmc.num_states(), 2);
-        let a = measures::steady_state_availability(&agg.ctmc, 1);
+        let a = availability(&agg.ctmc);
         assert!((a - 2.0 / 2.01).abs() < 1e-12, "availability {a}");
     }
 
@@ -500,7 +525,7 @@ mod tests {
         let model = SystemModel::build(&def.without_repair()).unwrap();
         let agg = aggregate(&model, &EngineOptions::new()).unwrap();
         let t = 5.0;
-        let r = measures::reliability(&agg.ctmc, 1, t);
+        let r = reliability(&agg.ctmc, t);
         let p = 1.0 - (-0.1f64 * t).exp();
         assert!((r - (1.0 - p * p)).abs() < 1e-9, "reliability {r}");
     }
@@ -517,7 +542,7 @@ mod tests {
 
         let reference = {
             let agg = aggregate(&model, &EngineOptions::new()).unwrap();
-            measures::steady_state_availability(&agg.ctmc, 1)
+            availability(&agg.ctmc)
         };
         for order in [
             OrderPolicy::Affinity,
@@ -531,7 +556,7 @@ mod tests {
                     ..EngineOptions::new()
                 };
                 let agg = aggregate(&model, &opts).unwrap();
-                let a = measures::steady_state_availability(&agg.ctmc, 1);
+                let a = availability(&agg.ctmc);
                 assert!(
                     (a - reference).abs() < 1e-10,
                     "{order:?}/{strategy:?}: {a} vs {reference}"
@@ -563,8 +588,8 @@ mod tests {
             },
         )
         .unwrap();
-        let a1 = measures::steady_state_availability(&comp.ctmc, 1);
-        let a2 = measures::steady_state_availability(&flat.ctmc, 1);
+        let a1 = availability(&comp.ctmc);
+        let a2 = availability(&flat.ctmc);
         assert!((a1 - a2).abs() < 1e-10);
         assert!(
             flat.largest_intermediate.states >= comp.largest_intermediate.states,
@@ -594,7 +619,7 @@ mod tests {
         def.set_system_down(Expr::down_mode("c2", 2));
         let model = SystemModel::build(&def).unwrap();
         let agg = aggregate(&model, &EngineOptions::new()).unwrap();
-        let u = 1.0 - measures::steady_state_availability(&agg.ctmc, 1);
+        let u = 1.0 - availability(&agg.ctmc);
         assert!(
             (u - 3.041_931_860_726_e-4).abs() < 1e-12,
             "unavailability {u}"
@@ -616,7 +641,7 @@ mod tests {
         def.set_system_down(Expr::and([Expr::down("pp"), Expr::down("ps")]));
         let model = SystemModel::build(&def).unwrap();
         let agg = aggregate(&model, &EngineOptions::new()).unwrap();
-        let a = measures::steady_state_availability(&agg.ctmc, 1);
+        let a = availability(&agg.ctmc);
         // both must be down simultaneously: availability very high
         assert!(a > 0.999, "availability {a}");
         assert!(a < 1.0);
@@ -651,8 +676,8 @@ mod tests {
                 assert_eq!(p.composed, s.composed);
                 assert_eq!(p.reduced, s.reduced);
             }
-            let a_seq = measures::steady_state_availability(&seq.ctmc, 1);
-            let a_par = measures::steady_state_availability(&par.ctmc, 1);
+            let a_seq = availability(&seq.ctmc);
+            let a_par = availability(&par.ctmc);
             assert_eq!(
                 a_par.to_bits(),
                 a_seq.to_bits(),
@@ -728,8 +753,8 @@ mod tests {
             },
         )
         .unwrap();
-        let a1 = measures::steady_state_availability(&tree.ctmc, 1);
-        let a2 = measures::steady_state_availability(&flat.ctmc, 1);
+        let a1 = availability(&tree.ctmc);
+        let a2 = availability(&flat.ctmc);
         assert!((a1 - a2).abs() < 1e-10);
         assert!(
             tree.largest_intermediate.states <= flat.largest_intermediate.states,

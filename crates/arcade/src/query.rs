@@ -7,8 +7,8 @@
 //! measures — are all independent of *which* time points a caller asks
 //! about. A [`Session`] therefore owns the [`SystemDef`] and builds each
 //! artifact **lazily, once**, answering whole batches of measures in one
-//! pass with the batched uniformization kernels of
-//! [`ctmc::transient::transient_many`].
+//! pass with the batched uniformization kernel
+//! [`ctmc::transient::transient_many_from_ctx`].
 //!
 //! # Laziness and caching contract
 //!
@@ -860,6 +860,7 @@ impl Session {
     /// a point at the declared base values reproduces the memoized answer
     /// bitwise.
     fn plan(&self, measures: &[Measure], at: Option<&[f64]>) -> Result<Vec<f64>, ArcadeError> {
+        check_times(measures)?;
         // Gather the time grids per (configuration, kind).
         let mut unavail_ts = Vec::new();
         let mut fp_repair_ts = Vec::new();
@@ -1105,6 +1106,33 @@ fn sweep_sensitivities(
 fn build_aggregation(def: &SystemDef, opts: &EngineOptions) -> Result<Aggregation, ArcadeError> {
     let model = SystemModel::build(def)?;
     aggregate(&model, opts)
+}
+
+/// Rejects time points the solvers cannot take, before any work starts:
+/// every timed measure needs a finite `t ≥ 0`, and interval availability
+/// a positive horizon (it averages over `[0, t]`).
+fn check_times(measures: &[Measure]) -> Result<(), ArcadeError> {
+    for m in measures {
+        let (t, positive) = match m {
+            Measure::PointAvailability(t)
+            | Measure::PointUnavailability(t)
+            | Measure::Reliability(t)
+            | Measure::Unreliability(t)
+            | Measure::UnreliabilityWithRepair(t)
+            | Measure::BoundedUntil { t, .. } => (*t, false),
+            Measure::IntervalAvailability(t) => (*t, true),
+            Measure::SteadyStateAvailability
+            | Measure::SteadyStateUnavailability
+            | Measure::Mttf => continue,
+        };
+        if !t.is_finite() || t < 0.0 || (positive && t == 0.0) {
+            let need = if positive { "positive" } else { "non-negative" };
+            return Err(ArcadeError::invalid(format!(
+                "{m:?}: time must be finite and {need}, got {t}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// The one "budget scope + panic → typed error" guard: runs `f` with
@@ -1447,6 +1475,39 @@ mod tests {
         // ragged explicit point
         let ragged = ParamGrid::points_list(["lambda_a"], vec![vec![0.01, 0.02]]);
         assert!(session.sweep(&[Measure::Mttf], &ragged).is_err());
+    }
+
+    #[test]
+    fn invalid_times_are_rejected_before_solving() {
+        let session = Session::new(&param_pair()).unwrap();
+        for m in [
+            Measure::IntervalAvailability(0.0),
+            Measure::IntervalAvailability(-2.0),
+            Measure::PointUnavailability(-1.0),
+            Measure::Reliability(f64::NAN),
+            Measure::UnreliabilityWithRepair(f64::INFINITY),
+            Measure::BoundedUntil {
+                phi: StateFormula::True,
+                psi: StateFormula::down(),
+                t: -0.5,
+            },
+        ] {
+            let batch = [Measure::Mttf, m.clone()];
+            let grid = ParamGrid::cartesian([("lambda_a", vec![0.01])]);
+            for r in [
+                session.evaluate(&batch).map(drop),
+                session.evaluate_at(&batch, &[0.01, 0.02]).map(drop),
+                session.sweep(&batch, &grid).map(drop),
+            ] {
+                assert!(matches!(r, Err(ArcadeError::Invalid(_))), "{m:?}: {r:?}");
+            }
+        }
+        // The boundary values stay valid.
+        let ok = [
+            Measure::PointUnavailability(0.0),
+            Measure::IntervalAvailability(1e-3),
+        ];
+        assert!(session.evaluate(&ok).is_ok());
     }
 
     #[test]

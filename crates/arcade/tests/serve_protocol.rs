@@ -355,6 +355,32 @@ fn max_states_caps_a_loaded_combinatorial_model() {
     handle.join();
 }
 
+/// A measure whose time the solvers cannot take is a request error, not
+/// a contained solver panic: the client gets a non-panic code it should
+/// not retry, and `panics_caught` does not move.
+#[test]
+fn invalid_measure_times_are_request_errors() {
+    let (handle, addr) = test_server();
+    let panics_caught = |client: &mut Client| {
+        let stats = client.stats().expect("stats");
+        stats
+            .get("server")
+            .and_then(|s| s.get("panics_caught"))
+            .and_then(Json::as_f64)
+            .expect("panics_caught counter")
+    };
+    let mut client = Client::connect(&addr).expect("connect");
+    let before = panics_caught(&mut client);
+    let v = raw_roundtrip(
+        &addr,
+        br#"{"model":"dds","measures":[{"kind":"interval_availability","t":0}]}"#,
+    );
+    assert_eq!(error_code(&v), "model_error", "{v}");
+    assert_eq!(panics_caught(&mut client), before, "no panic may be caught");
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn shutdown_command_stops_the_server() {
     let (handle, addr) = test_server();

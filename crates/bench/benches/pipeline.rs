@@ -10,7 +10,8 @@ use arcade::expr::Expr;
 use arcade::model::SystemModel;
 use arcade_bench::bench;
 use bisim::pipeline::{reduce, ReduceOptions, Strategy};
-use ctmc::{measures, transient, Ctmc, MeasureContext, TransientOptions};
+use ctmc::measures::state_mass;
+use ctmc::{steady, transient, Ctmc, MeasureContext, SolverOptions, TransientOptions};
 use ioimc::compose::parallel_all;
 
 /// A chain of n repairable components sharing one FCFS repair unit, failing
@@ -79,14 +80,22 @@ fn main() {
     }
 
     let chain500 = birth_death(500);
+    let down: Vec<u32> = chain500.states_with_label(1).collect();
+    let opts = TransientOptions::default();
+    let solve = |c: &Ctmc, ts: &[f64]| {
+        let ctx = MeasureContext::new();
+        transient::transient_many_from_ctx(c, &c.initial_distribution(), ts, &opts, &ctx)
+    };
     bench("ctmc-solvers/steady-state-500", 10, || {
-        measures::steady_state_availability(&chain500, 1)
+        let pi = steady::steady_state_with(&chain500, &SolverOptions::default());
+        1.0 - state_mass(&down, &pi)
     });
     bench("ctmc-solvers/transient-500-t100", 10, || {
-        measures::point_availability(&chain500, 1, 100.0)
+        1.0 - state_mass(&down, &solve(&chain500, &[100.0])[0])
     });
     bench("ctmc-solvers/first-passage-500-t100", 10, || {
-        measures::unreliability(&chain500, 1, 100.0)
+        let absorbing = chain500.make_absorbing(down.iter().copied());
+        state_mass(&down, &solve(&absorbing, &[100.0])[0])
     });
 
     // Batched curve kernels vs the scalar per-point loop: the win the
@@ -97,11 +106,11 @@ fn main() {
     let grid: Vec<f64> = (1..=50).map(|k| f64::from(k) * 2.0).collect();
     let scalar = bench("curve/transient-scalar-50pts", 5, || {
         grid.iter()
-            .map(|&t| transient::transient(&chain500, t))
+            .map(|&t| solve(&chain500, &[t]))
             .collect::<Vec<_>>()
     });
     let batched = bench("curve/transient-batched-50pts", 5, || {
-        transient::transient_many(&chain500, &grid)
+        solve(&chain500, &grid)
     });
     // Step counts from one counted (untimed) run of each side.
     let steps = |grids: Vec<&[f64]>| {

@@ -1,56 +1,28 @@
-//! Absorbing-state analyses: first passage and mean time to failure.
+//! Absorbing-state analysis: mean time to failure.
 //!
-//! [`mean_time_to_absorption`] solves the hitting-time system
-//! `Q_T x = -1` on the transient (non-target) states. Since the sparse
-//! rewrite it first **pre-restricts** the system by reachability: only
-//! states reachable from the initial state matter, and if any reachable
-//! transient state cannot reach a target at all (a dead end — including
-//! zero-exit-rate states), the expected hitting time is `∞` and no linear
-//! solve is needed. The surviving system is solved densely up to
+//! [`mean_time_to_absorption_with`] solves the hitting-time system
+//! `Q_T x = -1` on the transient (non-target) states. It first
+//! **pre-restricts** the system by reachability: only states reachable
+//! from the initial state matter, and if any reachable transient state
+//! cannot reach a target at all (a dead end — including zero-exit-rate
+//! states), the expected hitting time is `∞` and no linear solve is
+//! needed. The surviving system is solved densely up to
 //! [`SolverOptions::dense_limit`] and by Gauss–Seidel sweeps over the CSR
-//! rows above it.
+//! rows above it. Both solvers poll the ambient [`crate::budget`] (once
+//! per sweep, once per pivot column), so a deadline or cancellation stops
+//! an MTTF solve with a [`crate::budget::BudgetExceeded`] panic.
+//!
+//! First-passage probabilities ("unreliability") are transient solves on
+//! the chain with the targets made absorbing: [`Ctmc::make_absorbing`],
+//! then [`crate::transient::transient_many_from_ctx`], read back with
+//! [`crate::measures::state_mass`].
 
 use crate::chain::Ctmc;
 use crate::solver::SolverOptions;
-use crate::transient::{transient, transient_many};
-
-/// Probability of having *reached* any state in `targets` by time `t`
-/// (first-passage probability).
-///
-/// The target states are made absorbing, so re-entering an up state after a
-/// visit does not count as recovery — this is the "unreliability" measure
-/// of the paper's RCS case study (§5.2.2), where components keep being
-/// repaired but the first system-level failure is what matters.
-///
-/// # Panics
-///
-/// Panics if `t` is negative or not finite.
-pub fn first_passage_probability(ctmc: &Ctmc, targets: &[u32], t: f64) -> f64 {
-    let absorbing = ctmc.make_absorbing(targets.iter().copied());
-    let pi = transient(&absorbing, t);
-    crate::measures::state_mass(targets, &pi)
-}
-
-/// First-passage probabilities for a whole time grid (any order,
-/// duplicates allowed), built from **one** absorbing transformation and
-/// one incremental uniformization sweep ([`transient_many`]) instead of
-/// one of each per point.
-///
-/// Returns one probability per entry of `ts`, in the order given.
-///
-/// # Panics
-///
-/// Panics if any time is negative or not finite.
-pub fn first_passage_many(ctmc: &Ctmc, targets: &[u32], ts: &[f64]) -> Vec<f64> {
-    let absorbing = ctmc.make_absorbing(targets.iter().copied());
-    transient_many(&absorbing, ts)
-        .iter()
-        .map(|pi| crate::measures::state_mass(targets, pi))
-        .collect()
-}
 
 /// Mean time until any state in `targets` is first entered (MTTF when the
-/// targets are the system-down states), with default [`SolverOptions`].
+/// targets are the system-down states), with the dense-vs-iterative split
+/// and sweep controls of `opts`.
 ///
 /// Returns `f64::INFINITY` when the targets are unreachable from the
 /// initial state, or when some reachable transient state cannot reach a
@@ -59,16 +31,9 @@ pub fn first_passage_many(ctmc: &Ctmc, targets: &[u32], ts: &[f64]) -> Vec<f64> 
 ///
 /// # Panics
 ///
-/// Panics if the initial state is itself a target (MTTF is 0 — degenerate).
-pub fn mean_time_to_absorption(ctmc: &Ctmc, targets: &[u32]) -> f64 {
-    mean_time_to_absorption_with(ctmc, targets, &SolverOptions::default())
-}
-
-/// [`mean_time_to_absorption`] with explicit solver configuration.
-///
-/// # Panics
-///
-/// Panics if the initial state is itself a target.
+/// Panics if the initial state is itself a target (MTTF is 0 —
+/// degenerate), or with a [`crate::budget::BudgetExceeded`] payload when
+/// the ambient budget trips mid-solve.
 pub fn mean_time_to_absorption_with(ctmc: &Ctmc, targets: &[u32], opts: &SolverOptions) -> f64 {
     let n = ctmc.num_states();
     let mut is_target = vec![false; n];
@@ -165,6 +130,7 @@ fn dense_hitting_time(
         a[i * m + i] -= ctmc.exit_rate(s);
     }
     for col in 0..m {
+        ioimc::budget::checkpoint();
         let pivot_row = (col..m)
             .max_by(|&i, &j| a[i * m + col].abs().total_cmp(&a[j * m + col].abs()))
             .expect("non-empty");
@@ -229,6 +195,7 @@ fn sparse_hitting_time(
     let mut x = vec![0.0f64; m];
     let mut prev_diff = f64::INFINITY;
     for _ in 0..opts.max_sweeps {
+        ioimc::budget::checkpoint();
         let mut diff = 0.0f64; // max absolute change this sweep
         let mut scale = 0.0f64; // max |x_i| after this sweep
         for (i, &s) in restricted.iter().enumerate() {
@@ -262,14 +229,34 @@ fn sparse_hitting_time(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+    use std::time::Duration;
+
     use super::*;
+    use crate::budget::{self, Budget, BudgetExceeded, BudgetKind};
+    use crate::measures::state_mass;
+    use crate::transient::transient_many_from_ctx;
+    use crate::{MeasureContext, TransientOptions};
+
+    fn hitting_time(c: &Ctmc, targets: &[u32]) -> f64 {
+        mean_time_to_absorption_with(c, targets, &SolverOptions::default())
+    }
 
     #[test]
     fn first_passage_of_pure_death() {
         let l = 0.05;
         let c = Ctmc::new(vec![vec![(l, 1)], vec![(99.0, 0)]], vec![0, 1], 0).unwrap();
         // With state 1 absorbing, the repair rate 99 must not matter.
-        let p = first_passage_probability(&c, &[1], 10.0);
+        let a = c.make_absorbing([1]);
+        let opts = TransientOptions::default();
+        let pi = transient_many_from_ctx(
+            &a,
+            &a.initial_distribution(),
+            &[10.0],
+            &opts,
+            &MeasureContext::new(),
+        );
+        let p = state_mass(&[1], &pi[0]);
         assert!((p - (1.0 - (-l * 10.0f64).exp())).abs() < 1e-10);
     }
 
@@ -277,7 +264,7 @@ mod tests {
     fn mttf_of_exponential() {
         let l = 0.25;
         let c = Ctmc::new(vec![vec![(l, 1)], vec![]], vec![0, 1], 0).unwrap();
-        let mttf = mean_time_to_absorption(&c, &[1]);
+        let mttf = hitting_time(&c, &[1]);
         assert!((mttf - 1.0 / l).abs() < 1e-10);
     }
 
@@ -292,7 +279,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let mttf = mean_time_to_absorption(&c, &[2]);
+        let mttf = hitting_time(&c, &[2]);
         assert!((mttf - 1.5 / l).abs() < 1e-9);
     }
 
@@ -307,7 +294,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let mttf = mean_time_to_absorption(&c, &[2]);
+        let mttf = hitting_time(&c, &[2]);
         let expected = (3.0 * l + m) / (2.0 * l * l);
         assert!((mttf - expected).abs() / expected < 1e-10);
     }
@@ -320,7 +307,7 @@ mod tests {
             0,
         )
         .unwrap();
-        assert_eq!(mean_time_to_absorption(&c, &[2]), f64::INFINITY);
+        assert_eq!(hitting_time(&c, &[2]), f64::INFINITY);
     }
 
     /// The sparse path agrees with the dense path on the same chain.
@@ -341,7 +328,7 @@ mod tests {
             })
             .collect();
         let c = Ctmc::new(rows, vec![0; k + 1], 0).unwrap();
-        let dense = mean_time_to_absorption(&c, &[k as u32]);
+        let dense = hitting_time(&c, &[k as u32]);
         let sparse = mean_time_to_absorption_with(
             &c,
             &[k as u32],
@@ -364,7 +351,7 @@ mod tests {
             0,
         )
         .unwrap();
-        assert_eq!(mean_time_to_absorption(&c, &[2]), f64::INFINITY);
+        assert_eq!(hitting_time(&c, &[2]), f64::INFINITY);
         // ... on the sparse path too
         assert_eq!(
             mean_time_to_absorption_with(&c, &[2], &SolverOptions::default().with_dense_limit(0)),
@@ -379,7 +366,34 @@ mod tests {
         let l = 0.25;
         // state 2 is an unreachable dead end; 0 → 1 is the real chain
         let c = Ctmc::new(vec![vec![(l, 1)], vec![], vec![]], vec![0, 1, 0], 0).unwrap();
-        let mttf = mean_time_to_absorption(&c, &[1]);
+        let mttf = hitting_time(&c, &[1]);
         assert!((mttf - 1.0 / l).abs() < 1e-10);
+    }
+
+    /// An expired ambient deadline stops the MTTF solve on both paths
+    /// instead of letting it run to completion.
+    #[test]
+    fn expired_deadline_stops_the_solve() {
+        let c = Ctmc::new(
+            vec![vec![(0.2, 1)], vec![(0.1, 2), (2.0, 0)], vec![]],
+            vec![0, 0, 1],
+            0,
+        )
+        .unwrap();
+        let expired = Arc::new(Budget::unlimited().with_deadline(Duration::ZERO));
+        std::thread::sleep(Duration::from_millis(2));
+        for dense_limit in [0, usize::MAX] {
+            let opts = SolverOptions::default().with_dense_limit(dense_limit);
+            let caught = std::panic::catch_unwind(|| {
+                budget::scope(Some(expired.clone()), || {
+                    mean_time_to_absorption_with(&c, &[2], &opts)
+                })
+            })
+            .expect_err("the solve must not finish past its deadline");
+            let e = caught
+                .downcast_ref::<BudgetExceeded>()
+                .expect("a BudgetExceeded payload");
+            assert_eq!(e.kind, BudgetKind::Deadline, "dense_limit={dense_limit}");
+        }
     }
 }

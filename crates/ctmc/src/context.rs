@@ -2,13 +2,13 @@
 //! work counters scoped to one analysis session.
 //!
 //! A [`MeasureContext`] bundles the session-scoped [`SolveCounters`] with
-//! the session's [`PoissonCache`]. The `_ctx` entry points
+//! the session's [`PoissonCache`]. Every entry that steps a transient
 //! ([`crate::transient::transient_many_from_ctx`],
 //! [`crate::csl::until_bounded_ctx`],
-//! [`crate::csl::interval_down_fraction_ctx`]) thread both through the
-//! grid solver. Its counters are the only count of transient solver
-//! work: solves made without a context are counted nowhere, and two
-//! sessions solving at the same time each see only their own work.
+//! [`crate::csl::interval_down_fraction_ctx`]) takes one and threads both
+//! through the grid solver. Its counters are the only count of transient
+//! solver work, and two sessions solving at the same time each see only
+//! their own work. A fresh [`MeasureContext::new`] serves a one-off solve.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

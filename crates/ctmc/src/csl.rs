@@ -9,19 +9,22 @@
 //! Supported:
 //!
 //! * [`StateFormula`] — boolean combinations of label bits,
-//! * `P[Φ U≤t Ψ]` ([`until_bounded`]) — time-bounded until,
-//! * `P[◇≤t Φ]` ([`eventually_bounded`]) — bounded reachability
-//!   (unreliability when Φ = down),
-//! * `P[□≤t Φ]` ([`always_bounded`]) — bounded invariance (reliability),
-//! * `S[Φ]` ([`steady_state_probability`]) — long-run probability,
-//! * expected interval availability ([`interval_down_fraction`]).
+//! * `P[Φ U≤t Ψ]` ([`until_bounded_ctx`]) — time-bounded until; bounded
+//!   reachability `P[◇≤t Φ]` is `P[true U≤t Φ]` (unreliability when
+//!   Φ = down), and bounded invariance `P[□≤t Φ]` is `1 − P[◇≤t ¬Φ]`,
+//! * expected interval availability ([`interval_down_fraction_ctx`]).
+//!
+//! The long-run probability `S[Φ]` is the mass of [`StateFormula::states`]
+//! under [`crate::steady::steady_state_with`]. Both entries step the
+//! transient through [`crate::transient::transient_many_from_ctx`]'s grid
+//! solver, so their work is counted in the [`MeasureContext`] they are
+//! given.
 
 use crate::chain::Ctmc;
-use crate::context::{MeasureContext, SolveCounters};
-use crate::poisson::PoissonCache;
-use crate::solver::{SolverOptions, TransientOptions};
-use crate::steady::steady_state_with;
-use crate::transient::{transient_many_from_cached, transient_many_from_ctx, GridSolver};
+use crate::context::MeasureContext;
+use crate::measures::state_mass;
+use crate::solver::TransientOptions;
+use crate::transient::{transient_many_from_ctx, GridSolver};
 
 /// A boolean state formula over label bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,50 +93,11 @@ impl StateFormula {
 /// Computed with the standard CSL transformation: Ψ-states are made
 /// absorbing (reaching them is success), ¬Φ∧¬Ψ-states are made absorbing
 /// too (entering them is failure), then one transient analysis gives the
-/// success mass.
-///
-/// # Panics
-///
-/// Panics if `t` is negative or not finite.
-pub fn until_bounded(ctmc: &Ctmc, phi: &StateFormula, psi: &StateFormula, t: f64) -> f64 {
-    until_bounded_with(
-        ctmc,
-        phi,
-        psi,
-        t,
-        &TransientOptions::default(),
-        &PoissonCache::new(),
-    )
-}
-
-/// [`until_bounded`] with explicit uniformization engine configuration
-/// and a shared Poisson weight memo (the transient solve dominates this
-/// query on large chains; batches of until queries over one grid reuse
-/// each `Λ·Δt` expansion through the cache). With the default adaptive
-/// windowed engine the answer deviates from the exact expansion by at
-/// most [`TransientOptions::support_tol`] (one segment is stepped), on
-/// top of the shared `~1e-15` Poisson truncation.
-///
-/// # Panics
-///
-/// Panics if `t` is negative or not finite.
-pub fn until_bounded_with(
-    ctmc: &Ctmc,
-    phi: &StateFormula,
-    psi: &StateFormula,
-    t: f64,
-    opts: &TransientOptions,
-    cache: &PoissonCache,
-) -> f64 {
-    until_bounded_inner(ctmc, phi, psi, |transformed, pi0| {
-        transient_many_from_cached(transformed, pi0, &[t], opts, cache)
-    })
-}
-
-/// [`until_bounded_with`] driven through a [`MeasureContext`]: the
-/// context's Poisson memo answers the weight lookups and the context's
-/// [`crate::SolveCounters`] record the transient solve's work, scoped to
-/// the session instead of the whole process.
+/// success mass. With the default adaptive windowed engine the answer
+/// deviates from the exact expansion by at most
+/// [`TransientOptions::support_tol`] (one segment is stepped), on top of
+/// the shared `~1e-15` Poisson truncation. The context's Poisson memo
+/// answers the weight lookups and its counters record the solve's work.
 ///
 /// # Panics
 ///
@@ -146,17 +110,6 @@ pub fn until_bounded_ctx(
     opts: &TransientOptions,
     ctx: &MeasureContext,
 ) -> f64 {
-    until_bounded_inner(ctmc, phi, psi, |transformed, pi0| {
-        transient_many_from_ctx(transformed, pi0, &[t], opts, ctx)
-    })
-}
-
-fn until_bounded_inner(
-    ctmc: &Ctmc,
-    phi: &StateFormula,
-    psi: &StateFormula,
-    solve: impl FnOnce(&Ctmc, &[f64]) -> Vec<Vec<f64>>,
-) -> f64 {
     let absorbing: Vec<u32> = (0..ctmc.num_states() as u32)
         .filter(|&s| {
             let l = ctmc.label(s);
@@ -167,41 +120,16 @@ fn until_bounded_inner(
     // Success = sitting in a Ψ-state at time t of the transformed chain;
     // since Ψ-states are absorbing, that equals "reached Ψ by t via Φ".
     // A failure state (¬Φ∧¬Ψ) is absorbing and not Ψ, so it contributes 0.
-    let pi = solve(&transformed, &transformed.initial_distribution())
-        .pop()
-        .expect("one grid point");
-    (0..ctmc.num_states() as u32)
-        .filter(|&s| psi.holds(ctmc.label(s)))
-        .map(|s| pi[s as usize])
-        .sum::<f64>()
-        .clamp(0.0, 1.0)
-}
-
-/// `P[◇≤t Φ]`: bounded reachability (with Φ = down this is the system
-/// unreliability in the first-passage sense of §5.2.2).
-pub fn eventually_bounded(ctmc: &Ctmc, phi: &StateFormula, t: f64) -> f64 {
-    until_bounded(ctmc, &StateFormula::True, phi, t)
-}
-
-/// `P[□≤t Φ]`: the probability of staying in Φ-states for all of `[0, t]`.
-pub fn always_bounded(ctmc: &Ctmc, phi: &StateFormula, t: f64) -> f64 {
-    1.0 - eventually_bounded(ctmc, &phi.clone().not(), t)
-}
-
-/// `S[Φ]`: long-run probability of Φ.
-pub fn steady_state_probability(ctmc: &Ctmc, phi: &StateFormula) -> f64 {
-    steady_state_probability_with(ctmc, phi, &SolverOptions::default())
-}
-
-/// [`steady_state_probability`] with explicit solver configuration (the
-/// steady-state solve dominates this query on large chains).
-pub fn steady_state_probability_with(ctmc: &Ctmc, phi: &StateFormula, opts: &SolverOptions) -> f64 {
-    let pi = steady_state_with(ctmc, opts);
-    phi.states(ctmc)
-        .into_iter()
-        .map(|s| pi[s as usize])
-        .sum::<f64>()
-        .clamp(0.0, 1.0)
+    let pi = transient_many_from_ctx(
+        &transformed,
+        &transformed.initial_distribution(),
+        &[t],
+        opts,
+        ctx,
+    )
+    .pop()
+    .expect("one grid point");
+    state_mass(&psi.states(ctmc), &pi)
 }
 
 /// Expected fraction of `[0, t]` spent in Φ-states (interval availability
@@ -209,47 +137,16 @@ pub fn steady_state_probability_with(ctmc: &Ctmc, phi: &StateFormula, opts: &Sol
 /// integrating the transient distribution with Simpson's rule on a grid
 /// fine enough for the chain's dynamics.
 ///
-/// # Panics
-///
-/// Panics if `t` is not strictly positive and finite.
-pub fn interval_down_fraction(ctmc: &Ctmc, phi: &StateFormula, t: f64) -> f64 {
-    interval_down_fraction_with(
-        ctmc,
-        phi,
-        t,
-        &TransientOptions::default(),
-        &PoissonCache::new(),
-    )
-}
-
-/// [`interval_down_fraction`] with explicit uniformization engine
-/// configuration. The Simpson grid is evaluated in chunked batched
-/// sweeps over **one** reused grid solver — the adaptive engine's
-/// locality reordering and operator are built once for the whole
-/// integration, and the constant step width means every chunk whose
-/// support (and hence `Λ_seg`) has stabilized answers its Poisson
-/// weights from the shared [`PoissonCache`] memo. Error budget: each of
-/// the `steps` grid segments truncates at most
+/// The Simpson grid is evaluated in chunked batched sweeps over **one**
+/// reused grid solver — the adaptive engine's locality reordering and
+/// operator are built once for the whole integration, and the constant
+/// step width means every chunk whose support (and hence `Λ_seg`) has
+/// stabilized answers its Poisson weights from the context's memo. Error
+/// budget: each of the `steps` grid segments truncates at most
 /// [`TransientOptions::support_tol`] of mass, so the integrand is
 /// pointwise within `steps · support_tol` of exact — at the default
-/// `1e-14` budget that is dwarfed by the `O(h⁴)` Simpson error this
-/// grid resolution targets.
-///
-/// # Panics
-///
-/// Panics if `t` is not strictly positive and finite.
-pub fn interval_down_fraction_with(
-    ctmc: &Ctmc,
-    phi: &StateFormula,
-    t: f64,
-    opts: &TransientOptions,
-    cache: &PoissonCache,
-) -> f64 {
-    interval_down_fraction_inner(ctmc, phi, t, opts, cache, &SolveCounters::new())
-}
-
-/// [`interval_down_fraction_with`] driven through a [`MeasureContext`]
-/// (session-scoped Poisson memo and work counters).
+/// `1e-14` budget that is dwarfed by the `O(h⁴)` Simpson error this grid
+/// resolution targets.
 ///
 /// # Panics
 ///
@@ -260,17 +157,6 @@ pub fn interval_down_fraction_ctx(
     t: f64,
     opts: &TransientOptions,
     ctx: &MeasureContext,
-) -> f64 {
-    interval_down_fraction_inner(ctmc, phi, t, opts, &ctx.poisson, &ctx.counters)
-}
-
-fn interval_down_fraction_inner(
-    ctmc: &Ctmc,
-    phi: &StateFormula,
-    t: f64,
-    opts: &TransientOptions,
-    cache: &PoissonCache,
-    counters: &SolveCounters,
 ) -> f64 {
     assert!(
         t.is_finite() && t > 0.0,
@@ -291,7 +177,7 @@ fn interval_down_fraction_inner(
     // PoissonCache amortize the stepping engine (prescaled transposed
     // CSR) and the weight vectors across all chunks.
     const CHUNK: usize = 64;
-    let mut solver = GridSolver::new(ctmc, opts, cache, counters);
+    let mut solver = GridSolver::new(ctmc, opts, &ctx.poisson, &ctx.counters);
     let mut k = 1usize;
     while k <= steps {
         let m = CHUNK.min(steps - k + 1);
@@ -318,6 +204,16 @@ fn interval_down_fraction_inner(
 mod tests {
     use super::*;
 
+    fn until(c: &Ctmc, phi: &StateFormula, psi: &StateFormula, t: f64) -> f64 {
+        let opts = TransientOptions::default();
+        until_bounded_ctx(c, phi, psi, t, &opts, &MeasureContext::new())
+    }
+
+    fn interval(c: &Ctmc, phi: &StateFormula, t: f64) -> f64 {
+        let opts = TransientOptions::default();
+        interval_down_fraction_ctx(c, phi, t, &opts, &MeasureContext::new())
+    }
+
     /// Up(0) -λ-> Down(1) -µ-> Up, plus a "degraded" bit on a middle state.
     fn machine(l: f64, m: f64) -> Ctmc {
         Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap()
@@ -342,18 +238,9 @@ mod tests {
     fn eventually_matches_first_passage() {
         let c = machine(0.1, 5.0);
         let t = 7.0;
-        let p = eventually_bounded(&c, &StateFormula::down(), t);
+        let p = until(&c, &StateFormula::True, &StateFormula::down(), t);
         let expected = 1.0 - (-0.1f64 * t).exp();
         assert!((p - expected).abs() < 1e-10, "{p} vs {expected}");
-    }
-
-    #[test]
-    fn always_is_complement_of_eventually_not() {
-        let c = machine(0.3, 1.0);
-        let t = 2.0;
-        let r = always_bounded(&c, &StateFormula::up(), t);
-        let u = eventually_bounded(&c, &StateFormula::down(), t);
-        assert!((r + u - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -370,28 +257,21 @@ mod tests {
             .not()
             .and(StateFormula::down().not());
         let down = StateFormula::down();
-        let p_strict = until_bounded(&c, &up, &down, 10.0);
+        let p_strict = until(&c, &up, &down, 10.0);
         assert!(
             p_strict < 1e-12,
             "blocked path must have probability 0, got {p_strict}"
         );
         // allowing degraded on the way makes it reachable
-        let p_relaxed = until_bounded(&c, &StateFormula::down().not(), &down, 10.0);
+        let p_relaxed = until(&c, &StateFormula::down().not(), &down, 10.0);
         assert!(p_relaxed > 0.9);
-    }
-
-    #[test]
-    fn steady_state_probability_matches_measures() {
-        let c = machine(0.01, 1.0);
-        let s = steady_state_probability(&c, &StateFormula::down());
-        assert!((s - 0.01 / 1.01).abs() < 1e-12);
     }
 
     #[test]
     fn interval_availability_between_point_and_steady() {
         let c = machine(0.5, 1.0);
         let t = 10.0;
-        let frac = interval_down_fraction(&c, &StateFormula::down(), t);
+        let frac = interval(&c, &StateFormula::down(), t);
         // starts up, so the average down-fraction is below the steady value
         let steady = 0.5 / 1.5;
         assert!(frac > 0.0 && frac < steady);
@@ -406,7 +286,7 @@ mod tests {
     #[test]
     fn interval_fraction_converges_to_steady_state() {
         let c = machine(0.5, 1.0);
-        let frac = interval_down_fraction(&c, &StateFormula::down(), 500.0);
+        let frac = interval(&c, &StateFormula::down(), 500.0);
         assert!((frac - 1.0 / 3.0).abs() < 1e-3);
     }
 }

@@ -158,11 +158,10 @@ impl TransientOptions {
 /// # Semantics
 ///
 /// * `dense_limit` — chains with `num_states <= dense_limit` are solved
-///   by dense Gaussian elimination with partial pivoting (exact up to
-///   rounding, robust for stiff chains); larger chains use the sparse
-///   iterative path. The default (3 000) is the historical built-in
-///   threshold, so existing small-model results are bit-for-bit
-///   unchanged.
+///   directly (exact up to rounding, robust for stiff chains): the steady
+///   state by GTH state elimination, the MTTF by Gaussian elimination
+///   with partial pivoting. Larger chains use the sparse iterative path.
+///   The default is 3 000 states.
 /// * `tol` — iterative convergence criterion: the sweep-to-sweep
 ///   **maximum relative change** over all vector components,
 ///   `max_i |x'_i - x_i| / max(|x'_i|, 1e-300)`. Iteration stops at the

@@ -31,23 +31,18 @@ use crate::chain::Ctmc;
 use crate::solver::{IterativeMethod, SolverOptions, UNIF_HEADROOM};
 use crate::transient::prescaled_transpose;
 
-/// Computes the steady-state distribution of an irreducible CTMC with
-/// default [`SolverOptions`].
-///
-/// For reducible chains the result is the stationary distribution reachable
-/// from the chain's structure and should not be relied on; Arcade models
-/// with repair are irreducible by construction.
-pub fn steady_state(ctmc: &Ctmc) -> Vec<f64> {
-    steady_state_with(ctmc, &SolverOptions::default())
-}
-
 /// Largest chain the residual gate will rescue with the exact dense
 /// solver when an iterative run ends uncertified. Beyond this, the
 /// O(n³) rescue would cost more than re-running the whole analysis, so
 /// the best iterate is returned as-is (pre-existing behavior).
 const EXACT_RESCUE_LIMIT: usize = 2048;
 
-/// [`steady_state`] with explicit solver configuration.
+/// Computes the steady-state distribution of an irreducible CTMC, with
+/// the dense-vs-iterative split, kernel and tolerances of `opts`.
+///
+/// For reducible chains the result is the stationary distribution reachable
+/// from the chain's structure and should not be relied on; Arcade models
+/// with repair are irreducible by construction.
 ///
 /// Iterative results are *verified*, not trusted: the max relative
 /// balance residual `|inflow_i − π_i·exit_i| / (π_i·exit_i)` is checked
@@ -142,6 +137,7 @@ fn dense_solve(ctmc: &Ctmc) -> Vec<f64> {
     // Eliminate states m-1 .. 1: fold state k's rates into the censored
     // chain on {0, .., k-1}.
     for k in (1..m).rev() {
+        ioimc::budget::checkpoint();
         let out: f64 = (0..k).map(|j| q[k * m + j]).sum();
         if out <= 0.0 {
             continue; // defensive: cannot happen inside one SCC
@@ -628,6 +624,10 @@ fn power_iteration(ctmc: &Ctmc, opts: &SolverOptions) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    fn steady_state(c: &Ctmc) -> Vec<f64> {
+        steady_state_with(c, &SolverOptions::default())
+    }
+
     fn birth_death(lambda: f64, mu: f64, k: usize) -> Ctmc {
         let rows: Vec<Vec<(f64, u32)>> = (0..=k)
             .map(|i| {
@@ -838,5 +838,22 @@ mod tests {
     fn single_state_is_trivial() {
         let c = Ctmc::new(vec![vec![]], vec![0], 0).unwrap();
         assert_eq!(steady_state(&c), vec![1.0]);
+    }
+
+    /// An expired ambient deadline stops the dense GTH solve too, not
+    /// only the iterative kernels.
+    #[test]
+    fn expired_deadline_stops_the_dense_solve() {
+        use crate::budget::{self, Budget, BudgetExceeded, BudgetKind};
+        use std::time::Duration;
+        let c = birth_death(0.2, 1.5, 10);
+        let expired = std::sync::Arc::new(Budget::unlimited().with_deadline(Duration::ZERO));
+        std::thread::sleep(Duration::from_millis(2));
+        let caught = std::panic::catch_unwind(|| budget::scope(Some(expired), || steady_state(&c)))
+            .expect_err("the solve must not finish past its deadline");
+        let e = caught
+            .downcast_ref::<BudgetExceeded>()
+            .expect("a BudgetExceeded payload");
+        assert_eq!(e.kind, BudgetKind::Deadline);
     }
 }

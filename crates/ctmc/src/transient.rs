@@ -99,19 +99,23 @@
 //! `1 − ρ̂` estimated from the recent delta history (see
 //! `SteadyDetector`) — falls below [`TransientOptions::steady_tol`], the
 //! chain has converged: the remaining Poisson tail mass is assigned to
-//! the converged vector and the sweep stops early. The batched entry
-//! points additionally answer **all later grid points** from that
-//! vector, so long-horizon grids cost only as many DTMC steps as the
-//! chain's mixing time. Detection is disabled with `steady_tol = 0.0`.
+//! the converged vector and the sweep stops early. The grid solve
+//! additionally answers **all later grid points** from that vector, so
+//! long-horizon grids cost only as many DTMC steps as the chain's mixing
+//! time. Detection is disabled with `steady_tol = 0.0`.
 //!
-//! # Batching
+//! # Entry point and batching
 //!
-//! Curve-shaped workloads should use [`transient_many`]: it evaluates a
-//! whole time grid in **one** incremental uniformization sweep (the chain
-//! is stepped from each grid point to the next by the Markov property)
-//! instead of one independent sweep per point, turning the
-//! `O(Λ·Σtᵢ)` cost of the scalar loop into `O(Λ·max tᵢ)` — and less than
-//! that once steady-state detection kicks in.
+//! [`transient_many_from_ctx`] is the module's one solve entry: it takes
+//! a starting distribution, a whole time grid, the [`TransientOptions`]
+//! and a [`MeasureContext`]. The grid is evaluated in **one** incremental
+//! uniformization sweep (the chain is stepped from each grid point to the
+//! next by the Markov property) instead of one independent sweep per
+//! point, turning the `O(Λ·Σtᵢ)` cost of a scalar loop into
+//! `O(Λ·max tᵢ)` — and less than that once steady-state detection kicks
+//! in. First-passage curves are the same call on
+//! [`Ctmc::make_absorbing`]'s chain, read back with
+//! [`crate::measures::state_mass`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
@@ -121,126 +125,24 @@ use crate::context::{MeasureContext, SolveCounters};
 use crate::poisson::{PoissonCache, PoissonWeights};
 use crate::solver::{TransientOptions, UNIF_HEADROOM};
 
-/// Computes the state distribution at time `t` starting from the chain's
-/// initial state.
-///
-/// # Panics
-///
-/// Panics if `t` is negative or not finite.
-pub fn transient(ctmc: &Ctmc, t: f64) -> Vec<f64> {
-    transient_from(ctmc, &ctmc.initial_distribution(), t)
-}
-
-/// [`transient`] with explicit engine configuration.
-///
-/// # Panics
-///
-/// Panics if `t` is negative or not finite.
-pub fn transient_with(ctmc: &Ctmc, t: f64, opts: &TransientOptions) -> Vec<f64> {
-    transient_from_with(ctmc, &ctmc.initial_distribution(), t, opts)
-}
-
-/// Computes the state distribution at time `t` from an arbitrary initial
-/// distribution `pi0`.
-///
-/// # Panics
-///
-/// Panics if `t` is negative or not finite, or if `pi0` has the wrong
-/// length.
-pub fn transient_from(ctmc: &Ctmc, pi0: &[f64], t: f64) -> Vec<f64> {
-    transient_from_with(ctmc, pi0, t, &TransientOptions::default())
-}
-
-/// [`transient_from`] with explicit engine configuration.
-///
-/// # Panics
-///
-/// Panics if `t` is negative or not finite, or if `pi0` has the wrong
-/// length.
-pub fn transient_from_with(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &TransientOptions) -> Vec<f64> {
-    grid_solve(ctmc, pi0, &[t], opts, None)
-        .pop()
-        .expect("one grid point")
-}
-
 /// Computes the state distributions at every time in `ts` (any order,
-/// duplicates allowed) starting from the chain's initial state, sharing
-/// one incremental uniformization sweep across the whole grid.
+/// duplicates allowed) from the initial distribution `pi0` — the one
+/// transient entry point. Returns one distribution per entry of `ts`, in
+/// the order given.
 ///
-/// Returns one distribution per entry of `ts`, in the order given.
+/// The grid is visited in ascending order in **one** incremental sweep:
+/// the chain is advanced from each grid point to the next (exact by the
+/// Markov property), so the total work is proportional to `Λ·max(ts)`
+/// plus a per-point truncation overhead, instead of a scalar loop's
+/// `Λ·Σts` — or less, once steady-state detection answers the tail of the
+/// grid from the converged vector. A single time is a one-point grid;
+/// pass [`Ctmc::initial_distribution`] to start from the initial state.
 ///
-/// # Panics
-///
-/// Panics if any time is negative or not finite.
-pub fn transient_many(ctmc: &Ctmc, ts: &[f64]) -> Vec<Vec<f64>> {
-    transient_many_from(ctmc, &ctmc.initial_distribution(), ts)
-}
-
-/// [`transient_many`] with explicit engine configuration.
-///
-/// # Panics
-///
-/// Panics if any time is negative or not finite.
-pub fn transient_many_with(ctmc: &Ctmc, ts: &[f64], opts: &TransientOptions) -> Vec<Vec<f64>> {
-    transient_many_from_with(ctmc, &ctmc.initial_distribution(), ts, opts)
-}
-
-/// Computes the state distributions at every time in `ts` from an
-/// arbitrary initial distribution `pi0` in one incremental sweep: the grid
-/// is visited in ascending order and the chain is advanced from each grid
-/// point to the next (exact by the Markov property), so the total work is
-/// proportional to `Λ·max(ts)` plus a per-point truncation overhead,
-/// instead of the scalar loop's `Λ·Σts` — or less, once steady-state
-/// detection answers the tail of the grid from the converged vector.
-///
-/// # Panics
-///
-/// Panics if any time is negative or not finite, or if `pi0` has the
-/// wrong length.
-pub fn transient_many_from(ctmc: &Ctmc, pi0: &[f64], ts: &[f64]) -> Vec<Vec<f64>> {
-    transient_many_from_with(ctmc, pi0, ts, &TransientOptions::default())
-}
-
-/// [`transient_many_from`] with explicit engine configuration.
-///
-/// # Panics
-///
-/// Panics if any time is negative or not finite, or if `pi0` has the
-/// wrong length.
-pub fn transient_many_from_with(
-    ctmc: &Ctmc,
-    pi0: &[f64],
-    ts: &[f64],
-    opts: &TransientOptions,
-) -> Vec<Vec<f64>> {
-    grid_solve(ctmc, pi0, ts, opts, None)
-}
-
-/// [`transient_many_from_with`] with a caller-provided [`PoissonCache`],
-/// so repeated solves over the same grid (several measures of one batched
-/// query, Simpson integration, repeated sessions) expand each distinct
-/// `Λ·Δt` weight vector once.
-///
-/// # Panics
-///
-/// Panics if any time is negative or not finite, or if `pi0` has the
-/// wrong length.
-pub fn transient_many_from_cached(
-    ctmc: &Ctmc,
-    pi0: &[f64],
-    ts: &[f64],
-    opts: &TransientOptions,
-    cache: &PoissonCache,
-) -> Vec<Vec<f64>> {
-    grid_solve(ctmc, pi0, ts, opts, Some(cache))
-}
-
-/// [`transient_many_from_cached`] driven through a full
-/// [`MeasureContext`]: the context's Poisson memo answers the weight
-/// lookups and the context's [`SolveCounters`] record the sweeps and
-/// DTMC steps this solve performs. This is the only entry point whose
-/// solver work is counted: the counters are scoped to the context, so
-/// several analysis sessions in one process never see each other's work.
+/// `opts` selects the engine, thread count and tolerances. The context's
+/// Poisson memo answers the weight lookups, and the context's
+/// [`SolveCounters`] record the sweeps and DTMC
+/// steps this solve performs — the only place transient work is counted.
+/// A fresh [`MeasureContext::new`] gives a one-off solve.
 ///
 /// # Panics
 ///
@@ -256,30 +158,10 @@ pub fn transient_many_from_ctx(
     GridSolver::new(ctmc, opts, &ctx.poisson, &ctx.counters).solve_from(pi0, ts)
 }
 
-/// The grid solve behind the context-free entry points: one
-/// [`GridSolver`] per call, its work counted nowhere.
-fn grid_solve(
-    ctmc: &Ctmc,
-    pi0: &[f64],
-    ts: &[f64],
-    opts: &TransientOptions,
-    cache: Option<&PoissonCache>,
-) -> Vec<Vec<f64>> {
-    let local_cache;
-    let cache = match cache {
-        Some(c) => c,
-        None => {
-            local_cache = PoissonCache::new();
-            &local_cache
-        }
-    };
-    GridSolver::new(ctmc, opts, cache, &SolveCounters::new()).solve_from(pi0, ts)
-}
-
 /// A reusable grid driver over one chain: validates inputs, visits each
 /// grid in ascending order, and advances the chain segment by segment
 /// through a lazily built (and then reused) [`Stepper`]. Crate-internal
-/// so long chunked integrations (`csl::interval_down_fraction_with`) can
+/// so long chunked integrations (`csl::interval_down_fraction_ctx`) can
 /// amortize the stepping engine across chunks instead of rebuilding the
 /// prescaled transposed CSR per call.
 ///
@@ -1406,6 +1288,20 @@ fn balanced_ranges(inc_off: &[u32], shards: usize) -> Vec<std::ops::Range<usize>
 mod tests {
     use super::*;
 
+    fn solve(c: &Ctmc, pi0: &[f64], ts: &[f64], opts: &TransientOptions) -> Vec<Vec<f64>> {
+        transient_many_from_ctx(c, pi0, ts, opts, &MeasureContext::new())
+    }
+
+    fn from_initial(c: &Ctmc, ts: &[f64], opts: &TransientOptions) -> Vec<Vec<f64>> {
+        solve(c, &c.initial_distribution(), ts, opts)
+    }
+
+    fn at(c: &Ctmc, t: f64) -> Vec<f64> {
+        from_initial(c, &[t], &TransientOptions::default())
+            .pop()
+            .unwrap()
+    }
+
     /// Two-state machine point availability:
     /// A(t) = µ/(λ+µ) + λ/(λ+µ)·e^{-(λ+µ)t}.
     #[test]
@@ -1413,7 +1309,7 @@ mod tests {
         let (l, m) = (0.2, 1.5);
         let c = Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap();
         for &t in &[0.0, 0.1, 1.0, 5.0, 50.0] {
-            let pi = transient(&c, t);
+            let pi = at(&c, t);
             let a = m / (l + m) + l / (l + m) * (-(l + m) * t).exp();
             assert!((pi[0] - a).abs() < 1e-10, "t={t}: {} vs {a}", pi[0]);
         }
@@ -1424,7 +1320,7 @@ mod tests {
     fn exponential_absorption() {
         let l = 0.37;
         let c = Ctmc::new(vec![vec![(l, 1)], vec![]], vec![0, 1], 0).unwrap();
-        let pi = transient(&c, 2.0);
+        let pi = at(&c, 2.0);
         assert!((pi[1] - (1.0 - (-l * 2.0f64).exp())).abs() < 1e-12);
     }
 
@@ -1439,7 +1335,7 @@ mod tests {
         )
         .unwrap();
         let t = 1.3;
-        let pi = transient(&c, t);
+        let pi = at(&c, t);
         // Erlang-3 CDF = 1 - e^{-rt}(1 + rt + (rt)^2/2)
         let x = r * t;
         let expected = 1.0 - (-x).exp() * (1.0 + x + x * x / 2.0);
@@ -1450,8 +1346,8 @@ mod tests {
     fn long_horizon_converges_to_steady_state() {
         let (l, m) = (0.2, 1.5);
         let c = Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap();
-        let pi = transient(&c, 1e4);
-        let steady = crate::steady::steady_state(&c);
+        let pi = at(&c, 1e4);
+        let steady = crate::steady::steady_state_with(&c, &Default::default());
         assert!((pi[0] - steady[0]).abs() < 1e-9);
     }
 
@@ -1464,7 +1360,7 @@ mod tests {
         )
         .unwrap();
         for &t in &[0.3, 3.0, 30.0] {
-            let pi = transient(&c, t);
+            let pi = at(&c, t);
             let sum: f64 = pi.iter().sum();
             assert!((sum - 1.0).abs() < 1e-10);
         }
@@ -1474,7 +1370,7 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_time_panics() {
         let c = Ctmc::new(vec![vec![]], vec![0], 0).unwrap();
-        let _ = transient(&c, -1.0);
+        let _ = at(&c, -1.0);
     }
 
     #[test]
@@ -1483,7 +1379,7 @@ mod tests {
         let c = Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap();
         // deliberately unsorted, with a duplicate and a zero
         let ts = [5.0, 0.1, 0.0, 1.0, 1.0, 50.0];
-        let pis = transient_many(&c, &ts);
+        let pis = from_initial(&c, &ts, &TransientOptions::default());
         assert_eq!(pis.len(), ts.len());
         for (&t, pi) in ts.iter().zip(&pis) {
             let a = m / (l + m) + l / (l + m) * (-(l + m) * t).exp();
@@ -1494,7 +1390,7 @@ mod tests {
     #[test]
     fn rateless_chain_grid_is_constant() {
         let c = Ctmc::new(vec![vec![]], vec![0], 0).unwrap();
-        let pis = transient_many(&c, &[0.0, 1.0, 10.0]);
+        let pis = from_initial(&c, &[0.0, 1.0, 10.0], &TransientOptions::default());
         for pi in pis {
             assert_eq!(pi, vec![1.0]);
         }
@@ -1508,7 +1404,7 @@ mod tests {
         let c = Ctmc::new(vec![vec![], vec![], vec![]], vec![0, 0, 1], 0).unwrap();
         assert_eq!(c.max_exit_rate(), 0.0);
         let pi0 = [0.25, 0.5, 0.25];
-        let pis = transient_many_from(&c, &pi0, &[0.0, 2.5, 100.0]);
+        let pis = solve(&c, &pi0, &[0.0, 2.5, 100.0], &TransientOptions::default());
         for pi in pis {
             assert_eq!(pi, pi0.to_vec());
         }
@@ -1521,7 +1417,12 @@ mod tests {
         let (l, m) = (0.2, 1.5);
         let c = Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap();
         let pi0 = [0.0, 1.0];
-        let pis = transient_many_from(&c, &pi0, &[3.0, 0.0, 7.0, 0.0]);
+        let pis = solve(
+            &c,
+            &pi0,
+            &[3.0, 0.0, 7.0, 0.0],
+            &TransientOptions::default(),
+        );
         assert_eq!(pis[1], pi0.to_vec());
         assert_eq!(pis[3], pi0.to_vec());
         // and the positive points still match the closed form from pi0
@@ -1543,11 +1444,13 @@ mod tests {
         .unwrap();
         let pi0 = [0.2, 0.3, 0.5];
         let ts = [4.0, 1.0, 4.0, 0.5, 1.0];
-        let pis = transient_many_from(&c, &pi0, &ts);
+        let pis = solve(&c, &pi0, &ts, &TransientOptions::default());
         assert_eq!(pis[0], pis[2], "duplicate grid points must agree");
         assert_eq!(pis[1], pis[4]);
         for (&t, pi) in ts.iter().zip(&pis) {
-            let scalar = transient_from(&c, &pi0, t);
+            let scalar = solve(&c, &pi0, &[t], &TransientOptions::default())
+                .pop()
+                .unwrap();
             for (a, b) in pi.iter().zip(&scalar) {
                 assert!((a - b).abs() < 1e-10, "t={t}: {a} vs {b}");
             }
@@ -1580,13 +1483,13 @@ mod tests {
             .collect();
         let c = Ctmc::new(rows, vec![0; n], 0).unwrap();
         let ts = [0.4, 1.7, 6.0, 6.0, 0.0];
-        let serial = transient_many_with(&c, &ts, &TransientOptions::default());
+        let serial = from_initial(&c, &ts, &TransientOptions::default());
         for threads in [2usize, 3, 4, 8] {
             for shard_min in [1usize, 7, 24] {
                 let opts = TransientOptions::default()
                     .with_threads(threads)
                     .with_shard_min(shard_min);
-                let sharded = transient_many_with(&c, &ts, &opts);
+                let sharded = from_initial(&c, &ts, &opts);
                 assert_eq!(
                     sharded, serial,
                     "threads={threads} shard_min={shard_min}: not bitwise identical"
@@ -1623,9 +1526,8 @@ mod tests {
         let (l, m) = (0.2, 1.5);
         let c = Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap();
         let grid: Vec<f64> = (1..=20).map(|k| f64::from(k) * 50.0).collect();
-        let detected = transient_many_with(&c, &grid, &TransientOptions::default());
-        let exact =
-            transient_many_with(&c, &grid, &TransientOptions::default().with_steady_tol(0.0));
+        let detected = from_initial(&c, &grid, &TransientOptions::default());
+        let exact = from_initial(&c, &grid, &TransientOptions::default().with_steady_tol(0.0));
         for (i, &t) in grid.iter().enumerate() {
             let a = m / (l + m) + l / (l + m) * (-(l + m) * t).exp();
             assert!((detected[i][0] - exact[i][0]).abs() < 1e-11, "t={t}");
@@ -1658,8 +1560,8 @@ mod tests {
         // default steady_tol while ~1e-9 of slow-mode mass is still in
         // flight; t2 is far past mixing.
         let grid = [4.2e5, 1e8];
-        let pis = transient_many_with(&c, &grid, &TransientOptions::default());
-        let steady = crate::steady::steady_state(&c);
+        let pis = from_initial(&c, &grid, &TransientOptions::default());
+        let steady = crate::steady::steady_state_with(&c, &Default::default());
         for (a, b) in pis[1].iter().zip(&steady) {
             assert!(
                 (a - b).abs() < 1e-10,
@@ -1721,9 +1623,8 @@ mod tests {
         }
     }
 
-    /// The `_ctx` entry point is bitwise identical to the plain cached
-    /// path and records the solve's work on the context's counters
-    /// (without disturbing other contexts).
+    /// A solve records its work on its own context's counters only, and
+    /// its answer does not depend on which context it ran through.
     #[test]
     fn ctx_counters_record_session_scoped_work() {
         let (l, m) = (0.2, 1.5);
@@ -1732,7 +1633,7 @@ mod tests {
         let opts = TransientOptions::default();
         let ctx = MeasureContext::new();
         let pis = transient_many_from_ctx(&c, &c.initial_distribution(), &ts, &opts, &ctx);
-        assert_eq!(pis, transient_many_with(&c, &ts, &opts));
+        assert_eq!(pis, from_initial(&c, &ts, &opts));
         assert!(ctx.counters.sweeps() >= 1);
         assert!(ctx.counters.dtmc_steps() >= 1);
         let other = MeasureContext::new();
@@ -1747,7 +1648,7 @@ mod tests {
         let l = 2.5;
         let c = Ctmc::new(vec![vec![(l, 1)], vec![]], vec![0, 1], 0).unwrap();
         let grid = [5.0, 50.0, 500.0];
-        let pis = transient_many_with(&c, &grid, &TransientOptions::default());
+        let pis = from_initial(&c, &grid, &TransientOptions::default());
         for (&t, pi) in grid.iter().zip(&pis) {
             let expected = 1.0 - (-l * t).exp();
             assert!((pi[1] - expected).abs() < 1e-10, "t={t}: {}", pi[1]);

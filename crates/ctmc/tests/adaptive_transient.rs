@@ -8,8 +8,16 @@
 
 use smallrand::SmallRng;
 
-use ctmc::transient::{transient_many_from_with, transient_many_with};
-use ctmc::{Ctmc, TransientOptions};
+use ctmc::transient::transient_many_from_ctx;
+use ctmc::{Ctmc, MeasureContext, TransientOptions};
+
+fn solve_from(c: &Ctmc, pi0: &[f64], ts: &[f64], opts: &TransientOptions) -> Vec<Vec<f64>> {
+    transient_many_from_ctx(c, pi0, ts, opts, &MeasureContext::new())
+}
+
+fn solve(c: &Ctmc, ts: &[f64], opts: &TransientOptions) -> Vec<Vec<f64>> {
+    solve_from(c, &c.initial_distribution(), ts, opts)
+}
 
 /// Random sparse chain with rates spanning several orders of magnitude —
 /// the regime where the per-segment Λ and the ε-support window actually
@@ -64,12 +72,12 @@ fn adaptive_matches_exact_engine_on_random_chains() {
         let ts: Vec<f64> = (0..points)
             .map(|_| f64::from(rng.range_u32(0, 160)) * 0.25)
             .collect();
-        let adaptive = transient_many_with(
+        let adaptive = solve(
             &chain,
             &ts,
             &TransientOptions::default().with_steady_tol(0.0),
         );
-        let exact = transient_many_with(
+        let exact = solve(
             &chain,
             &ts,
             &TransientOptions::default()
@@ -99,14 +107,14 @@ fn lossless_windowing_and_detection_match() {
         let mut rng = SmallRng::seed_from_u64(1000 + seed);
         let chain = arb_chain(&mut rng);
         let ts = [0.5, 2.5, 12.0];
-        let lossless = transient_many_with(
+        let lossless = solve(
             &chain,
             &ts,
             &TransientOptions::default()
                 .with_steady_tol(0.0)
                 .with_support_tol(0.0),
         );
-        let exact = transient_many_with(
+        let exact = solve(
             &chain,
             &ts,
             &TransientOptions::default()
@@ -115,7 +123,7 @@ fn lossless_windowing_and_detection_match() {
         );
         let diff = sup_diff(&lossless, &exact);
         assert!(diff < 1e-12, "seed {seed}: lossless diff {diff:e}");
-        let detected = transient_many_with(&chain, &ts, &TransientOptions::default());
+        let detected = solve(&chain, &ts, &TransientOptions::default());
         let diff = sup_diff(&detected, &exact);
         assert!(diff < 1e-10, "seed {seed}: detected diff {diff:e}");
     }
@@ -135,7 +143,7 @@ fn support_collapse_onto_absorbing_states() {
     )
     .unwrap();
     let grid = [200.0, 500.0, 1000.0, 1e6];
-    let pis = transient_many_with(&c, &grid, &TransientOptions::default());
+    let pis = solve(&c, &grid, &TransientOptions::default());
     for (i, pi) in pis.iter().enumerate() {
         assert!(
             (pi[2] - 1.0).abs() < 1e-12,
@@ -147,7 +155,7 @@ fn support_collapse_onto_absorbing_states() {
         assert!((mass - 1.0).abs() < 1e-12);
     }
     // The same grid with the exact engine agrees bit-for-bit-closely.
-    let exact = transient_many_with(&c, &grid, &TransientOptions::default().with_adaptive(false));
+    let exact = solve(&c, &grid, &TransientOptions::default().with_adaptive(false));
     assert!(sup_diff(&pis, &exact) < 1e-12);
 }
 
@@ -162,7 +170,7 @@ fn zero_rate_segments_keep_pi0() {
     )
     .unwrap();
     let pi0 = [0.0, 1.0, 0.0];
-    let pis = transient_many_from_with(&c, &pi0, &[0.0, 3.0, 100.0], &TransientOptions::default());
+    let pis = solve_from(&c, &pi0, &[0.0, 3.0, 100.0], &TransientOptions::default());
     for pi in &pis {
         assert_eq!(pi, &pi0.to_vec(), "absorbing pi0 must be invariant");
     }
@@ -181,13 +189,13 @@ fn zero_and_duplicate_grid_points() {
     .unwrap();
     let pi0 = [0.25, 0.25, 0.5];
     let ts = [7.0, 0.0, 7.0, 2.0, 0.0, 2.0];
-    let pis = transient_many_from_with(&c, &pi0, &ts, &TransientOptions::default());
+    let pis = solve_from(&c, &pi0, &ts, &TransientOptions::default());
     assert_eq!(pis[1], pi0.to_vec(), "t = 0 must reproduce pi0 exactly");
     assert_eq!(pis[4], pi0.to_vec());
     assert_eq!(pis[0], pis[2], "duplicate grid points must agree");
     assert_eq!(pis[3], pis[5]);
     for (&t, pi) in ts.iter().zip(&pis) {
-        let exact = transient_many_from_with(
+        let exact = solve_from(
             &c,
             &pi0,
             &[t],
@@ -219,8 +227,8 @@ fn multi_root_support_with_unreachable_states() {
     .unwrap();
     let pi0 = [0.4, 0.6, 0.0, 0.0, 0.0];
     let ts = [1.0, 10.0, 100.0];
-    let adaptive = transient_many_from_with(&c, &pi0, &ts, &TransientOptions::default());
-    let exact = transient_many_from_with(
+    let adaptive = solve_from(&c, &pi0, &ts, &TransientOptions::default());
+    let exact = solve_from(
         &c,
         &pi0,
         &ts,

@@ -1,27 +1,52 @@
-//! Edge-case behavior locks for [`ctmc::absorbing`] and [`ctmc::csl`]:
-//! initial states that are already absorbing or already targets,
-//! unreachable target sets, and zero-exit-rate transient states. Every
-//! absorbing-analysis case is pinned on **both** solver paths (dense and
-//! sparse via `dense_limit = 0`), so the CSR/iterative rewrite and any
-//! future solver change keep identical semantics.
+//! Edge-case behavior locks for the absorbing, first-passage and CSL
+//! analyses: initial states that are already absorbing or already
+//! targets, unreachable target sets, and zero-exit-rate transient states.
+//! Every MTTF case is pinned on **both** solver paths (dense and sparse
+//! via `dense_limit = 0`), and every first-passage case on **both**
+//! transient engines (adaptive and exact), so any future solver change
+//! keeps identical semantics.
 
-use ctmc::absorbing::{
-    first_passage_many, first_passage_probability, mean_time_to_absorption,
-    mean_time_to_absorption_with,
-};
-use ctmc::csl::{
-    always_bounded, eventually_bounded, steady_state_probability, until_bounded, StateFormula,
-};
-use ctmc::{Ctmc, SolverOptions};
+use ctmc::absorbing::mean_time_to_absorption_with;
+use ctmc::csl::{until_bounded_ctx, StateFormula};
+use ctmc::measures::state_mass;
+use ctmc::steady::steady_state_with;
+use ctmc::transient::transient_many_from_ctx;
+use ctmc::{Ctmc, MeasureContext, SolverOptions, TransientOptions};
 
 fn sparse() -> SolverOptions {
     SolverOptions::default().with_dense_limit(0)
 }
 
+/// First-passage probabilities into `targets` over the grid `ts`: the
+/// targets made absorbing, one transient solve, the target mass read back.
+fn first_passage(c: &Ctmc, targets: &[u32], ts: &[f64], adaptive: bool) -> Vec<f64> {
+    let a = c.make_absorbing(targets.iter().copied());
+    let opts = TransientOptions::default().with_adaptive(adaptive);
+    let pis = transient_many_from_ctx(
+        &a,
+        &a.initial_distribution(),
+        ts,
+        &opts,
+        &MeasureContext::new(),
+    );
+    pis.iter().map(|pi| state_mass(targets, pi)).collect()
+}
+
+/// `P[Φ U≤t Ψ]` with the default engine and a fresh context.
+fn until(c: &Ctmc, phi: &StateFormula, psi: &StateFormula, t: f64) -> f64 {
+    let opts = TransientOptions::default();
+    until_bounded_ctx(c, phi, psi, t, &opts, &MeasureContext::new())
+}
+
+/// `P[◇≤t Φ]` = `P[true U≤t Φ]`.
+fn eventually(c: &Ctmc, phi: &StateFormula, t: f64) -> f64 {
+    until(c, &StateFormula::True, phi, t)
+}
+
 /// Both solver paths must agree on the hitting time (including the
 /// infinite cases), for every chain in these tests.
 fn mttf_both_paths(ctmc: &Ctmc, targets: &[u32]) -> f64 {
-    let dense = mean_time_to_absorption(ctmc, targets);
+    let dense = mean_time_to_absorption_with(ctmc, targets, &SolverOptions::default());
     let iter = mean_time_to_absorption_with(ctmc, targets, &sparse());
     if dense.is_finite() {
         assert!(
@@ -38,7 +63,7 @@ fn mttf_both_paths(ctmc: &Ctmc, targets: &[u32]) -> f64 {
 #[should_panic(expected = "initial state is already a target")]
 fn mttf_panics_when_initial_is_target() {
     let c = Ctmc::new(vec![vec![(1.0, 1)], vec![]], vec![1, 0], 0).unwrap();
-    let _ = mean_time_to_absorption(&c, &[0]);
+    let _ = mean_time_to_absorption_with(&c, &[0], &SolverOptions::default());
 }
 
 #[test]
@@ -48,16 +73,19 @@ fn first_passage_is_one_when_initial_is_target() {
     let c = Ctmc::new(vec![vec![(2.0, 1)], vec![(1.0, 0)]], vec![1, 0], 0).unwrap();
     // t = 0 is exact; positive horizons only accumulate the rounding of
     // the truncated Poisson weight sum (≈1 ulp).
-    assert_eq!(first_passage_probability(&c, &[0], 0.0), 1.0);
-    for t in [0.5, 10.0] {
-        let p = first_passage_probability(&c, &[0], t);
-        assert!((p - 1.0).abs() < 1e-12, "t={t}: {p}");
-    }
-    for (i, p) in first_passage_many(&c, &[0], &[3.0, 0.0, 1.0])
-        .into_iter()
-        .enumerate()
-    {
-        assert!((p - 1.0).abs() < 1e-12, "grid point {i}: {p}");
+    for adaptive in [true, false] {
+        assert_eq!(first_passage(&c, &[0], &[0.0], adaptive), vec![1.0]);
+        for t in [0.5, 10.0] {
+            let p = first_passage(&c, &[0], &[t], adaptive)[0];
+            assert!((p - 1.0).abs() < 1e-12, "t={t} adaptive={adaptive}: {p}");
+        }
+        let grid = first_passage(&c, &[0], &[3.0, 0.0, 1.0], adaptive);
+        for (i, p) in grid.into_iter().enumerate() {
+            assert!(
+                (p - 1.0).abs() < 1e-12,
+                "grid point {i} adaptive={adaptive}: {p}"
+            );
+        }
     }
 }
 
@@ -66,8 +94,9 @@ fn initial_already_absorbing_never_reaches_targets() {
     // Zero-exit initial state, target elsewhere: the walk never moves.
     let c = Ctmc::new(vec![vec![], vec![(1.0, 2)], vec![]], vec![0, 0, 1], 0).unwrap();
     assert_eq!(mttf_both_paths(&c, &[2]), f64::INFINITY);
-    for t in [0.0, 5.0] {
-        assert_eq!(first_passage_probability(&c, &[2], t), 0.0, "t={t}");
+    for adaptive in [true, false] {
+        let p = first_passage(&c, &[2], &[0.0, 5.0], adaptive);
+        assert_eq!(p, vec![0.0, 0.0], "adaptive={adaptive}");
     }
 }
 
@@ -81,15 +110,22 @@ fn unreachable_target_set() {
     )
     .unwrap();
     assert_eq!(mttf_both_paths(&c, &[2]), f64::INFINITY);
-    assert_eq!(first_passage_probability(&c, &[2], 100.0), 0.0);
-    assert_eq!(first_passage_many(&c, &[2], &[1.0, 10.0]), vec![0.0, 0.0]);
+    for adaptive in [true, false] {
+        assert_eq!(first_passage(&c, &[2], &[100.0], adaptive), vec![0.0]);
+        assert_eq!(
+            first_passage(&c, &[2], &[1.0, 10.0], adaptive),
+            vec![0.0, 0.0]
+        );
+    }
 }
 
 #[test]
 fn empty_target_set_is_never_reached() {
     let c = Ctmc::new(vec![vec![(1.0, 1)], vec![(1.0, 0)]], vec![0, 0], 0).unwrap();
     assert_eq!(mttf_both_paths(&c, &[]), f64::INFINITY);
-    assert_eq!(first_passage_probability(&c, &[], 10.0), 0.0);
+    for adaptive in [true, false] {
+        assert_eq!(first_passage(&c, &[], &[10.0], adaptive), vec![0.0]);
+    }
 }
 
 #[test]
@@ -105,8 +141,10 @@ fn zero_exit_transient_state_diverges_hitting_time() {
     assert_eq!(mttf_both_paths(&c, &[2]), f64::INFINITY);
     // ... but the first-passage *probability* is still well-defined and
     // converges to the absorption probability 1/2.
-    let p = first_passage_probability(&c, &[2], 1e3);
-    assert!((p - 0.5).abs() < 1e-9, "absorption probability {p}");
+    for adaptive in [true, false] {
+        let p = first_passage(&c, &[2], &[1e3], adaptive)[0];
+        assert!((p - 0.5).abs() < 1e-9, "absorption probability {p}");
+    }
 }
 
 #[test]
@@ -129,7 +167,7 @@ fn dead_end_behind_the_target_does_not_diverge() {
 fn until_is_immediate_when_initial_satisfies_psi() {
     let c = Ctmc::new(vec![vec![(1.0, 1)], vec![(1.0, 0)]], vec![1, 0], 0).unwrap();
     for t in [0.0, 1.0, 50.0] {
-        let p = until_bounded(&c, &StateFormula::True, &StateFormula::down(), t);
+        let p = until(&c, &StateFormula::True, &StateFormula::down(), t);
         assert_eq!(p, 1.0, "t={t}");
     }
 }
@@ -140,7 +178,7 @@ fn until_is_zero_when_initial_violates_phi_and_psi() {
     // the path constraint is broken at time 0.
     let c = Ctmc::new(vec![vec![(1.0, 1)], vec![]], vec![0b10, 0b1], 0).unwrap();
     let phi = StateFormula::Label(0b10).not();
-    let p = until_bounded(&c, &phi, &StateFormula::down(), 10.0);
+    let p = until(&c, &phi, &StateFormula::down(), 10.0);
     assert!(p < 1e-12, "blocked at t=0, got {p}");
 }
 
@@ -153,7 +191,7 @@ fn eventually_unreachable_targets_is_zero() {
     )
     .unwrap();
     for t in [0.0, 7.0] {
-        assert_eq!(eventually_bounded(&c, &StateFormula::down(), t), 0.0);
+        assert_eq!(eventually(&c, &StateFormula::down(), t), 0.0);
     }
 }
 
@@ -164,14 +202,16 @@ fn zero_exit_chain_always_holds_forever() {
     let c = Ctmc::new(vec![vec![], vec![]], vec![0, 1], 0).unwrap();
     assert_eq!(c.max_exit_rate(), 0.0);
     for t in [0.0, 1.0, 1e4] {
-        assert_eq!(always_bounded(&c, &StateFormula::up(), t), 1.0, "t={t}");
-        assert_eq!(eventually_bounded(&c, &StateFormula::down(), t), 0.0);
+        let always_up = 1.0 - eventually(&c, &StateFormula::up().not(), t);
+        assert_eq!(always_up, 1.0, "t={t}");
+        assert_eq!(eventually(&c, &StateFormula::down(), t), 0.0);
     }
 }
 
 #[test]
 fn steady_state_probability_of_unmatched_formula_is_zero() {
     let c = Ctmc::new(vec![vec![(1.0, 1)], vec![(1.0, 0)]], vec![0, 0], 0).unwrap();
-    assert_eq!(steady_state_probability(&c, &StateFormula::down()), 0.0);
-    assert_eq!(steady_state_probability(&c, &StateFormula::True), 1.0);
+    let pi = steady_state_with(&c, &SolverOptions::default());
+    assert_eq!(state_mass(&StateFormula::down().states(&c), &pi), 0.0);
+    assert_eq!(state_mass(&StateFormula::True.states(&c), &pi), 1.0);
 }

@@ -5,7 +5,33 @@
 
 use smallrand::SmallRng;
 
-use ctmc::{absorbing, measures, steady, transient, Ctmc};
+use ctmc::absorbing::mean_time_to_absorption_with;
+use ctmc::measures::state_mass;
+use ctmc::steady::steady_state_with;
+use ctmc::transient::transient_many_from_ctx;
+use ctmc::{Ctmc, MeasureContext, SolverOptions, TransientOptions};
+
+fn steady_state(c: &Ctmc) -> Vec<f64> {
+    steady_state_with(c, &SolverOptions::default())
+}
+
+/// Distributions over the grid `ts` from `pi0`, with default options and
+/// a fresh context.
+fn solve_from(c: &Ctmc, pi0: &[f64], ts: &[f64]) -> Vec<Vec<f64>> {
+    let opts = TransientOptions::default();
+    transient_many_from_ctx(c, pi0, ts, &opts, &MeasureContext::new())
+}
+
+fn solve_at(c: &Ctmc, t: f64) -> Vec<f64> {
+    solve_from(c, &c.initial_distribution(), &[t]).remove(0)
+}
+
+/// First-passage probabilities into `targets` over the grid `ts`.
+fn first_passage(c: &Ctmc, targets: &[u32], ts: &[f64]) -> Vec<f64> {
+    let a = c.make_absorbing(targets.iter().copied());
+    let pis = solve_from(&a, &a.initial_distribution(), ts);
+    pis.iter().map(|pi| state_mass(targets, pi)).collect()
+}
 
 /// Random birth-death chain with positive rates.
 fn arb_birth_death(rng: &mut SmallRng) -> (Ctmc, Vec<f64>, Vec<f64>) {
@@ -45,7 +71,7 @@ fn birth_death_steady_state() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed);
         let (chain, births, deaths) = arb_birth_death(&mut rng);
-        let pi = steady::steady_state(&chain);
+        let pi = steady_state(&chain);
         let n = chain.num_states();
         let mut expected = vec![1.0f64; n];
         for i in 1..n {
@@ -72,12 +98,12 @@ fn transient_consistency() {
         let mut rng = SmallRng::seed_from_u64(1000 + seed);
         let (chain, _, _) = arb_birth_death(&mut rng);
         let t = rng.range_f64(0.1, 20.0);
-        let pi_t = transient::transient(&chain, t);
+        let pi_t = solve_at(&chain, t);
         let sum: f64 = pi_t.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9, "mass {sum} at t={t}");
         assert!(pi_t.iter().all(|&p| (-1e-12..=1.0 + 1e-12).contains(&p)));
-        let pi_inf = transient::transient(&chain, 1e5);
-        let steady = steady::steady_state(&chain);
+        let pi_inf = solve_at(&chain, 1e5);
+        let steady = steady_state(&chain);
         for (a, b) in pi_inf.iter().zip(&steady) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -94,10 +120,10 @@ fn chapman_kolmogorov() {
         let t1 = rng.range_f64(0.1, 5.0);
         let dt = rng.range_f64(0.1, 5.0);
         let via = {
-            let mid = transient::transient(&chain, t1);
-            transient::transient_from(&chain, &mid, dt)
+            let mid = solve_at(&chain, t1);
+            solve_from(&chain, &mid, &[dt]).remove(0)
         };
-        let direct = transient::transient(&chain, t1 + dt);
+        let direct = solve_at(&chain, t1 + dt);
         for (a, b) in via.iter().zip(&direct) {
             assert!((a - b).abs() < 1e-9, "seed {seed}: {a} vs {b}");
         }
@@ -114,13 +140,13 @@ fn first_passage_monotone() {
         let (chain, _, _) = arb_birth_death(&mut rng);
         let t = rng.range_f64(0.5, 10.0);
         let target = [(chain.num_states() - 1) as u32];
-        let p1 = absorbing::first_passage_probability(&chain, &target, t);
-        let p2 = absorbing::first_passage_probability(&chain, &target, 2.0 * t);
+        let p1 = first_passage(&chain, &target, &[t])[0];
+        let p2 = first_passage(&chain, &target, &[2.0 * t])[0];
         assert!((0.0..=1.0).contains(&p1));
         assert!(p2 + 1e-12 >= p1);
-        let mttf = absorbing::mean_time_to_absorption(&chain, &target);
+        let mttf = mean_time_to_absorption_with(&chain, &target, &SolverOptions::default());
         assert!(mttf > 0.0);
-        let p_at_mttf = absorbing::first_passage_probability(&chain, &target, mttf);
+        let p_at_mttf = first_passage(&chain, &target, &[mttf])[0];
         assert!(p_at_mttf > 0.2, "P(T <= E[T]) = {p_at_mttf}");
     }
 }
@@ -132,13 +158,14 @@ fn measures_consistent() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(4000 + seed);
         let (chain, _, _) = arb_birth_death(&mut rng);
-        let u1 = measures::steady_state_unavailability(&chain, 1);
-        let u2 = measures::point_unavailability(&chain, 1, 1e5);
+        let down: Vec<u32> = chain.states_with_label(1).collect();
+        let u1 = state_mass(&down, &steady_state(&chain));
+        let u2 = state_mass(&down, &solve_at(&chain, 1e5));
         assert!((u1 - u2).abs() < 1e-6, "{u1} vs {u2}");
     }
 }
 
-/// `transient_many` agrees with the scalar `transient` to 1e-12 on random
+/// A batched grid solve agrees with one-point solves to 1e-12 on random
 /// chains and random (unsorted, duplicate-carrying) time grids.
 #[test]
 fn transient_many_matches_scalar() {
@@ -150,9 +177,9 @@ fn transient_many_matches_scalar() {
         if m >= 2 {
             ts[1] = ts[0]; // exercise duplicate grid points
         }
-        let batched = transient::transient_many(&chain, &ts);
+        let batched = solve_from(&chain, &chain.initial_distribution(), &ts);
         for (t, pi) in ts.iter().zip(&batched) {
-            let scalar = transient::transient(&chain, *t);
+            let scalar = solve_at(&chain, *t);
             for (a, b) in pi.iter().zip(&scalar) {
                 assert!(
                     (a - b).abs() < 1e-12,
@@ -163,8 +190,8 @@ fn transient_many_matches_scalar() {
     }
 }
 
-/// `first_passage_many` agrees with the scalar
-/// `first_passage_probability` to 1e-12.
+/// A batched first-passage grid agrees with one-point first-passage
+/// solves to 1e-12.
 #[test]
 fn first_passage_many_matches_scalar() {
     for seed in 0..CASES {
@@ -173,44 +200,13 @@ fn first_passage_many_matches_scalar() {
         let target = [(chain.num_states() - 1) as u32];
         let m = rng.range_usize(1, 9);
         let ts: Vec<f64> = (0..m).map(|_| rng.range_f64(0.0, 25.0)).collect();
-        let batched = absorbing::first_passage_many(&chain, &target, &ts);
+        let batched = first_passage(&chain, &target, &ts);
         for (t, p) in ts.iter().zip(&batched) {
-            let scalar = absorbing::first_passage_probability(&chain, &target, *t);
+            let scalar = first_passage(&chain, &target, &[*t])[0];
             assert!(
                 (p - scalar).abs() < 1e-12,
                 "seed {seed} t={t}: batched {p} vs scalar {scalar}"
             );
         }
-    }
-}
-
-/// The `MeasureContext` answers every measure identically to the free
-/// functions (which are now thin wrappers over it).
-#[test]
-fn measure_context_matches_free_functions() {
-    for seed in 0..16 {
-        let mut rng = SmallRng::seed_from_u64(7000 + seed);
-        let (chain, _, _) = arb_birth_death(&mut rng);
-        let ctx = measures::MeasureContext::new(&chain);
-        let t = rng.range_f64(0.5, 10.0);
-        assert_eq!(
-            ctx.steady_state_availability(1),
-            measures::steady_state_availability(&chain, 1)
-        );
-        assert_eq!(
-            ctx.point_unavailability(1, t),
-            measures::point_unavailability(&chain, 1, t)
-        );
-        assert_eq!(
-            ctx.unreliability(1, t),
-            measures::unreliability(&chain, 1, t)
-        );
-        assert_eq!(ctx.mttf(1), measures::mttf(&chain, 1));
-        // repeated calls hit the caches and stay identical
-        assert_eq!(ctx.mttf(1), measures::mttf(&chain, 1));
-        assert_eq!(
-            ctx.unreliability(1, t),
-            measures::unreliability(&chain, 1, t)
-        );
     }
 }

@@ -88,7 +88,7 @@ fn grid_entirely_past_convergence_steps_once() {
         1,
         "later points must reuse the vector"
     );
-    let steady = ctmc::steady::steady_state(&c);
+    let steady = ctmc::steady::steady_state_with(&c, &Default::default());
     for pi in &pis {
         assert!((pi[0] - steady[0]).abs() < 1e-10);
     }

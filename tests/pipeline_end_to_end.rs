@@ -9,7 +9,8 @@ use arcade::model::SystemModel;
 use arcade::prelude::*;
 use arcade::sim;
 use bisim::pipeline::Strategy;
-use ctmc::measures;
+use ctmc::measures::state_mass;
+use ctmc::SolverOptions;
 
 /// k-out-of-n:G system of identical repairable components with dedicated
 /// repair: compare against the closed-form independent-component answer.
@@ -183,7 +184,9 @@ fn strategies_agree_on_concurrent_model() {
                 },
             )
             .unwrap();
-            results.push(measures::steady_state_unavailability(&agg.ctmc, 1));
+            let down: Vec<u32> = agg.ctmc.states_with_label(1).collect();
+            let pi = ctmc::steady::steady_state_with(&agg.ctmc, &SolverOptions::default());
+            results.push(state_mass(&down, &pi));
         }
     }
     for w in results.windows(2) {

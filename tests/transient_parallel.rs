@@ -9,8 +9,13 @@
 use arcade::build::observer::DOWN_BIT;
 use arcade::cases::dds;
 use arcade::prelude::*;
-use ctmc::transient::transient_many_with;
-use ctmc::{Ctmc, TransientOptions};
+use ctmc::transient::transient_many_from_ctx;
+use ctmc::{Ctmc, MeasureContext, TransientOptions};
+
+fn solve(ctmc: &Ctmc, grid: &[f64], opts: &TransientOptions) -> Vec<Vec<f64>> {
+    let ctx = MeasureContext::new();
+    transient_many_from_ctx(ctmc, &ctmc.initial_distribution(), grid, opts, &ctx)
+}
 
 /// The aggregated DDS availability CTMC, built once for the whole binary
 /// (aggregation dominates the debug-profile runtime).
@@ -28,7 +33,7 @@ fn dds_ctmc() -> &'static Ctmc {
 
 fn assert_sharded_matches_serial(name: &str, ctmc: &Ctmc, grid: &[f64]) {
     for steady_tol in [1e-13, 0.0] {
-        let serial = transient_many_with(
+        let serial = solve(
             ctmc,
             grid,
             &TransientOptions::default().with_steady_tol(steady_tol),
@@ -39,7 +44,7 @@ fn assert_sharded_matches_serial(name: &str, ctmc: &Ctmc, grid: &[f64]) {
                     .with_steady_tol(steady_tol)
                     .with_threads(threads)
                     .with_shard_min(shard_min);
-                let sharded = transient_many_with(ctmc, grid, &opts);
+                let sharded = solve(ctmc, grid, &opts);
                 assert_eq!(
                     sharded, serial,
                     "{name}: threads={threads} shard_min={shard_min} \
